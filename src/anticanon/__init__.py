@@ -32,7 +32,6 @@ from .exact import (
     format_scalar,
     poly_det,
     poly_gcd,
-    ratmat_inverse,
     squarefree_decompose,
 )
 from .polyparse import parse_poly, parse_scalar
@@ -103,7 +102,6 @@ __all__ = [
     "format_scalar",
     "poly_det",
     "poly_gcd",
-    "ratmat_inverse",
     "squarefree_decompose",
     "parse_poly",
     "parse_scalar",

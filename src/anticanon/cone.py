@@ -128,9 +128,6 @@ class NormalForm:
     def is_semi_torus(self) -> bool:
         return self.m == 0
 
-    def T_float(self) -> np.ndarray:
-        return np.array([[e.to_complex() for e in row] for row in self.T])
-
     def P_float(self) -> np.ndarray:
         return np.array([[e.to_complex() for e in row] for row in self.P])
 
@@ -218,11 +215,6 @@ def _check_normal_form(nf: NormalForm):
             if not g[j].is_zero():
                 raise AssertionError("adapted generator has nonzero entry in "
                                      "the residual block")
-
-
-def semi_torus_check(nf: NormalForm) -> bool:
-    """The translations generate a semi-torus iff the residual block is absent."""
-    return nf.m == 0
 
 
 # ---------------------------------------------------------------------------

@@ -876,55 +876,95 @@ def squarefree_part(p: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square polynomial matrix by fraction-free elimination.
+def _echelon(rows: Sequence[Sequence[Poly]]) -> tuple[int, int, Poly]:
+    """Fraction-free (Bareiss) forward elimination of a polynomial matrix.
 
-    Bareiss one-step elimination: every interior division is exact, so the
-    computation stays in the polynomial ring.
+    Returns the rank, the sign of the row permutation and the last pivot.
+    Columns without a pivot are skipped.  Every entry stays a minor of the
+    input, so each division by the previous pivot is exact and the work
+    stays in the polynomial ring.
+    """
+    m = [[as_poly(e) for e in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    sign, rank, prev = 1, 0, _P_ONE
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        pivot = next((r for r in range(rank, nrows) if not m[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        top = m[rank]
+        for row in m[rank + 1:]:
+            if row[col].is_zero() and top[col] == prev:
+                continue   # the update would leave this row unchanged
+            for j in range(col + 1, ncols):
+                q = exact_divide(top[col] * row[j] - row[col] * top[j], prev)
+                assert q is not None, "Bareiss division must be exact"
+                row[j] = q
+            row[col] = _P_ZERO
+        prev = top[col]
+        rank += 1
+    return rank, sign, prev
+
+
+def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
+    """Determinant of a square polynomial matrix by fraction-free elimination."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    rank, sign, pivot = _echelon(rows)
+    if rank < n:
+        return _P_ZERO
+    return -pivot if sign < 0 else pivot
+
+
+def poly_rank(rows: Sequence[Sequence[Poly]]) -> int:
+    """Rank of a polynomial matrix over the rational-function field."""
+    return _echelon(rows)[0]
+
+
+def poly_adjugate(rows: Sequence[Sequence[Poly]]) -> tuple[list[list[Poly]], Poly]:
+    """``(adj S, det S)`` of a nonsingular square polynomial matrix ``S``.
+
+    Fraction-free Gauss-Jordan on ``[S | I]``: after the last step the left
+    block is ``d * I`` and the right block ``d * S^-1``, where ``d`` is the
+    determinant of the row-permuted matrix.  Each division by the previous
+    pivot is exact, so no rational function is ever formed.  Raises
+    :class:`SingularMatrix` when ``det S`` vanishes.
     """
     n = len(rows)
-    m = [[as_poly(e) for e in row] for row in rows]
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    if n == 0:
-        return _P_ONE
-    sign = 1
-    prev = _P_ONE
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
-            if pivot is None:
-                return _P_ZERO
+    m = [[as_poly(e) for e in row] + [_P_ONE if j == i else _P_ZERO for j in range(n)]
+         for i, row in enumerate(rows)]
+    sign, prev = 1, _P_ONE
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if not m[r][k].is_zero()), None)
+        if pivot is None:
+            raise SingularMatrix("matrix has no inverse over the function field")
+        if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                q = exact_divide(num, prev)
+        top = m[k]
+        for i, row in enumerate(m):
+            if i == k or (row[k].is_zero() and top[k] == prev):
+                continue   # the pivot row, or a row the update leaves unchanged
+            # Left-block columns before k are diagonal by now and end up as
+            # d * I, so only the columns after k need updating.
+            for j in range(k + 1, 2 * n):
+                q = exact_divide(top[k] * row[j] - row[k] * top[j], prev)
                 assert q is not None, "Bareiss division must be exact"
-                m[i][j] = q
-            m[i][k] = _P_ZERO
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def poly_det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant by Laplace expansion.  Slow; kept as an independent check."""
-    n = len(rows)
-    m = [[as_poly(e) for e in row] for row in rows]
-    if n == 0:
-        return _P_ONE
-    if n == 1:
-        return m[0][0]
-    total = _P_ZERO
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        minor = [[m[i][c] for c in range(n) if c != j] for i in range(1, n)]
-        cof = m[0][j] * poly_det_cofactor(minor)
-        total = total + (cof if j % 2 == 0 else -cof)
-    return total
+                row[j] = q
+            row[k] = _P_ZERO
+        prev = top[k]
+    adj = [row[n:] for row in m]
+    if sign < 0:
+        return [[-e for e in row] for row in adj], -prev
+    return adj, prev
 
 
 # ---------------------------------------------------------------------------
@@ -1065,48 +1105,3 @@ class RatFunc:
 
     def __repr__(self):
         return f"<RatFunc {self}>"
-
-
-def ratmat_inverse(matrix: Sequence[Sequence["RatFunc | Poly"]]) -> list[list[RatFunc]]:
-    """Exact inverse of a square matrix over the rational-function field.
-
-    Gauss-Jordan elimination with the first nonzero entry as pivot; raises
-    :class:`SingularMatrix` when the matrix is not invertible.
-    """
-    n = len(matrix)
-    work = []
-    for i, row in enumerate(matrix):
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        aug = [e if isinstance(e, RatFunc) else RatFunc(as_poly(e)) for e in row]
-        aug += [RatFunc.one() if j == i else RatFunc.zero() for j in range(n)]
-        work.append(aug)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-        if pivot is None:
-            raise SingularMatrix("matrix has no inverse over the function field")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = RatFunc.one() / work[col][col]
-        work[col] = [e * inv for e in work[col]]
-        for r in range(n):
-            if r == col or work[r][col].is_zero():
-                continue
-            f = work[r][col]
-            work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
-
-def ratmat_det(matrix: Sequence[Sequence["RatFunc | Poly"]]) -> RatFunc:
-    """Determinant over the rational-function field (via polynomial parts)."""
-    n = len(matrix)
-    rows = [[e if isinstance(e, RatFunc) else RatFunc(as_poly(e)) for e in row]
-            for row in matrix]
-    num_rows = []
-    den = RatFunc.one()
-    for row in rows:
-        d = _P_ONE
-        for e in row:
-            d = d * e.den
-        num_rows.append([(e.num * exact_divide(d, e.den)) for e in row])
-        den = den * RatFunc(d)
-    return RatFunc(poly_det(num_rows)) / den

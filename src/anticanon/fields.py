@@ -10,6 +10,10 @@ A global holomorphic field on P^n is stored as ``n+1`` linear forms
 (``l^j = c * z_j``) does not change the field on P^n; all comparisons and
 brackets therefore happen after localizing to a chart, which kills that
 ambiguity.
+
+The inverse ``sigma`` of a basis's component matrix ``S`` is kept as the
+polynomial pair ``(adj S, det S)`` from fraction-free elimination; the
+reduced entries ``adj S / det S`` are formed once, for output.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from .exact import (
     Poly,
     RatFunc,
     as_scalar,
+    poly_adjugate,
     poly_det,
-    ratmat_inverse,
+    poly_rank,
 )
 from .linsolve import LinearSolution, solve_linear
 from .polyparse import parse_poly
@@ -292,26 +297,9 @@ class FieldBasis:
     @cached_property
     def generic_rank(self) -> int:
         """Rank of the component matrix over the rational-function field."""
-        rows = [[RatFunc(p) for p in row] for row in self.component_matrix]
-        rank = 0
-        ncols = len(rows[0]) if rows else 0
-        col = 0
-        while rank < len(rows) and col < ncols:
-            pivot = next((r for r in range(rank, len(rows))
-                          if not rows[r][col].is_zero()), None)
-            if pivot is None:
-                col += 1
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            inv = RatFunc.one() / rows[rank][col]
-            rows[rank] = [e * inv for e in rows[rank]]
-            for r in range(len(rows)):
-                if r != rank and not rows[r][col].is_zero():
-                    f = rows[r][col]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-            rank += 1
-            col += 1
-        return rank
+        if not self.det_section.is_zero():
+            return self.chart.dim
+        return poly_rank(self.component_matrix)
 
     def require_nondegenerate(self):
         if self.det_section.is_zero():
@@ -320,10 +308,16 @@ class FieldBasis:
                 f"(generic rank {self.generic_rank} < {self.chart.dim})")
 
     @cached_property
-    def sigma(self) -> list[list[RatFunc]]:
-        """Inverse of the component matrix over the function field."""
+    def adjugate(self) -> tuple[list[list[Poly]], Poly]:
+        """``(adj S, det S)`` for the component matrix ``S``."""
         self.require_nondegenerate()
-        return ratmat_inverse(self.component_matrix)
+        return poly_adjugate(self.component_matrix)
+
+    @cached_property
+    def sigma(self) -> list[list[RatFunc]]:
+        """``S^-1 = adj S / det S``, each entry reduced to lowest terms."""
+        adj, det = self.adjugate
+        return [[RatFunc(a, det) for a in row] for row in adj]
 
     # -- Lie-algebra structure ---------------------------------------------
     def abelian_witness(self) -> tuple[int, int, VectorField] | None:

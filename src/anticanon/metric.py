@@ -1,14 +1,18 @@
 """The hermitian metric of a field basis, with exact and numeric diagnostics.
 
 From a nondegenerate basis with component matrix ``S`` the metric is
-``g = sigma sigma*`` with ``sigma = S^{-1}``, so ``g_{ij} = sum_k sigma_ik
-conj(sigma_jk)``.  On the complement of the determinant divisor this is a
-smooth positive-definite hermitian metric.
+``g = sigma sigma*`` with ``sigma = S^{-1} = A / D``, where ``A = adj S`` and
+``D = det S`` are polynomial; ``g_{ij} = sum_k sigma_ik conj(sigma_jk)``.  On
+the complement of the determinant divisor ``{D = 0}`` this is a smooth
+positive-definite hermitian metric.
 
 Symbolic facts carried by this module:
 
 * the Kähler defect ``r_{ikl} = d(sigma_ik)/dz_l - d(sigma_lk)/dz_i``
-  vanishes identically exactly when the metric is Kähler;
+  vanishes identically exactly when the metric is Kähler.  It equals
+  ``N_{ikl} / D^2`` with the polynomial numerator
+  ``N = (d_l A_ik - d_i A_lk) D - (A_ik d_l D - A_lk d_i D)``, so deciding
+  whether it vanishes needs no gcd;
 * ``det g = |det sigma|^2`` holds exactly, so ``log det g`` is pluriharmonic
   off the divisor and the Ricci curvature vanishes there.
 
@@ -21,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from random import Random
 from typing import Sequence
 
@@ -136,10 +139,6 @@ class MetricModel:
     def n(self) -> int:
         return self.basis.chart.dim
 
-    @cached_property
-    def det_sigma(self) -> RatFunc:
-        return RatFunc.one() / RatFunc(self.det_section)
-
     # -- evaluation helpers -------------------------------------------------
     def _point_map_complex(self, point: PointLike) -> dict[str, complex]:
         values = _to_complex_point(point)
@@ -237,17 +236,25 @@ class KahlerDefect:
 
 
 def kahler_defect(model: MetricModel) -> KahlerDefect:
-    """Exact symmetry defect ``d(sigma_ik)/dz_l - d(sigma_lk)/dz_i`` for i < l."""
+    """Exact symmetry defect ``d(sigma_ik)/dz_l - d(sigma_lk)/dz_i`` for i < l.
+
+    Each residual is decided on its polynomial numerator over ``D^2``; only
+    the nonzero ones are reduced to lowest terms.
+    """
     n = model.n
     variables = model.chart.variables
+    adj, det = model.basis.adjugate
+    det_d = [det.derivative(v) for v in variables]
+    det_sq = det * det
     residuals: dict[tuple[int, int, int], RatFunc] = {}
     for i in range(n):
         for l in range(i + 1, n):
             for k in range(n):
-                r = (model.sigma[i][k].derivative(variables[l])
-                     - model.sigma[l][k].derivative(variables[i]))
-                if not r.is_zero():
-                    residuals[(i, k, l)] = r
+                a_ik, a_lk = adj[i][k], adj[l][k]
+                num = ((a_ik.derivative(variables[l]) - a_lk.derivative(variables[i])) * det
+                       - (a_ik * det_d[l] - a_lk * det_d[i]))
+                if not num.is_zero():
+                    residuals[(i, k, l)] = RatFunc(num, det_sq)
     return KahlerDefect(residuals)
 
 

@@ -29,7 +29,7 @@ from .divisor import (
     tangency_affine,
     tangency_projective,
 )
-from .errors import BadDirection, DegenerateBasis, OnDivisor
+from .errors import BadDirection, DegenerateBasis, OnDivisor, ParseError
 from .exact import ExactScalar
 from .fields import FieldBasis, ProjectiveBasis
 from .flows import flow_invariance_probe, sample_divisor_points
@@ -53,15 +53,15 @@ def resolve_seed(scenario: Scenario, override: "int | None") -> int:
     """Seed precedence: CLI override, scenario file, environment, default."""
     if override is not None:
         return override
-    if scenario.config.seed != DEFAULT_SEED:
+    if scenario.config.seed is not None:
         return scenario.config.seed
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return scenario.config.seed
+    if env is None:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ParseError(f"{SEED_ENV_VAR} must be an integer (got {env!r})") from None
 
 
 # ---------------------------------------------------------------------------

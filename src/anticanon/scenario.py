@@ -44,7 +44,7 @@ _D_TOKEN = re.compile(r"^d(\d+)$")
 class ProbeConfig:
     """Numeric-probe configuration with scenario-file overrides."""
 
-    seed: int = 1234
+    seed: "int | None" = None          # None: the environment or the default decides
     h: float = 1e-4
     depth: int = 14
     steps: int = 1000

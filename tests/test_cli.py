@@ -9,8 +9,8 @@ import pytest
 
 from anticanon.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_PARSE, main
 from anticanon.errors import DegenerateBasis
-from anticanon.report import run_report, serialize_report
-from anticanon.scenario import load_scenario
+from anticanon.report import resolve_seed, run_report, serialize_report
+from anticanon.scenario import load_scenario, parse_scenario
 
 
 def _run(*args, env=None):
@@ -157,8 +157,30 @@ def test_subprocess_byte_identical_reports(tmp_path):
 def test_subprocess_env_seed(tmp_path):
     import os
 
+    path = tmp_path / "unseeded.scn"
+    path.write_text("ambient C2\nfield s1 = d1\nfield s2 = z1^2 d2\n")
     env = dict(os.environ)
     env["ANTICANON_SEED"] = "31"
-    r = _run("analyze", "c2_incomplete", "--json", env=env)
+    r = _run("analyze", str(path), "--json", env=env)
     assert r.returncode == 0
     assert json.loads(r.stdout)["seed"] == 31
+
+
+def test_seed_precedence_flag_file_env_default(monkeypatch):
+    seeded = load_scenario("c2_incomplete")          # has "seed 1234"
+    unseeded = parse_scenario("ambient C2\nfield s1 = d1\nfield s2 = d2\n")
+    monkeypatch.delenv("ANTICANON_SEED", raising=False)
+    assert resolve_seed(unseeded, None) == 1234
+    monkeypatch.setenv("ANTICANON_SEED", "99")
+    assert resolve_seed(unseeded, None) == 99
+    assert resolve_seed(seeded, None) == 1234        # the file beats the env
+    assert resolve_seed(seeded, 7) == 7              # the flag beats both
+
+
+def test_malformed_env_seed_is_a_parse_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "unseeded.scn"
+    path.write_text("ambient C2\nfield s1 = d1\nfield s2 = d2\n")
+    monkeypatch.setenv("ANTICANON_SEED", "12x")
+    assert main(["divisor", str(path), "--json"]) == EXIT_PARSE
+    assert "ANTICANON_SEED" in capsys.readouterr().err
+    assert main(["divisor", str(path), "--json", "--seed", "5"]) == EXIT_OK

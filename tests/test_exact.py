@@ -12,15 +12,16 @@ from anticanon.exact import (
     exact_divide,
     format_poly,
     grlex_key,
+    poly_adjugate,
     poly_det,
-    poly_det_cofactor,
     poly_divmod,
     poly_gcd,
-    ratmat_inverse,
+    poly_rank,
     squarefree_decompose,
     squarefree_part,
 )
-from anticanon.errors import SingularMatrix
+from anticanon.errors import DegenerateBasis, SingularMatrix
+from anticanon.fields import FieldBasis, affine_field
 from anticanon.polyparse import parse_poly, parse_scalar
 
 
@@ -233,6 +234,22 @@ def test_poly_det_frozen():
     assert poly_det(m3) == parse_poly("z2^3")
 
 
+def poly_det_cofactor(rows):
+    """Determinant by Laplace expansion along the first row: slow, but an
+    independent reference for the fraction-free elimination."""
+    n = len(rows)
+    if n == 0:
+        return Poly.one()
+    total = Poly.zero()
+    for j in range(n):
+        if rows[0][j].is_zero():
+            continue
+        minor = [[rows[i][c] for c in range(n) if c != j] for i in range(1, n)]
+        cof = rows[0][j] * poly_det_cofactor(minor)
+        total = total + (cof if j % 2 == 0 else -cof)
+    return total
+
+
 @given(st.lists(st.lists(small_polys(), min_size=3, max_size=3),
                 min_size=3, max_size=3))
 @settings(max_examples=20, deadline=None)
@@ -240,21 +257,46 @@ def test_bareiss_matches_cofactor(m):
     assert poly_det(m) == poly_det_cofactor(m)
 
 
-def test_ratmat_inverse_frozen():
-    m = [[RatFunc(parse_poly("1")), RatFunc(parse_poly("0"))],
-         [RatFunc(parse_poly("x")), RatFunc(parse_poly("1"))]]
-    inv = ratmat_inverse(m)
-    assert str(inv[1][0]) == "-x"
-    ident = [[sum((m[i][k] * inv[k][j] for k in range(2)),
-                  RatFunc(Poly.zero())) for j in range(2)] for i in range(2)]
-    assert str(ident[0][0]) == "1" and str(ident[0][1]) == "0"
+def test_adjugate_frozen():
+    m = _mat([["1", "0"], ["x", "1"]])
+    adj, det = poly_adjugate(m)
+    assert det == Poly.one()
+    assert str(RatFunc(adj[1][0], det)) == "-x"
+    ident = [[sum((m[i][k] * adj[k][j] for k in range(2)), Poly.zero())
+              for j in range(2)] for i in range(2)]
+    assert [[str(e) for e in row] for row in ident] == [["1", "0"], ["0", "1"]]
 
 
-def test_ratmat_inverse_singular():
-    m = [[RatFunc(parse_poly("x")), RatFunc(parse_poly("x"))],
-         [RatFunc(parse_poly("1")), RatFunc(parse_poly("1"))]]
+def test_adjugate_singular():
     with pytest.raises(SingularMatrix):
-        ratmat_inverse(m)
+        poly_adjugate(_mat([["x", "x"], ["1", "1"]]))
+    basis = FieldBasis([affine_field(2, ["z1", "z1"]), affine_field(2, ["1", "1"])])
+    with pytest.raises(DegenerateBasis):
+        basis.sigma
+
+
+@given(st.lists(st.lists(small_polys(), min_size=3, max_size=3),
+                min_size=3, max_size=3))
+@settings(max_examples=20, deadline=None)
+def test_adjugate_times_matrix_is_det(m):
+    det = poly_det(m)
+    if det.is_zero():
+        assert poly_rank(m) < 3
+        return
+    assert poly_rank(m) == 3
+    adj, d = poly_adjugate(m)
+    assert d == det
+    for i in range(3):
+        for j in range(3):
+            entry = sum((adj[i][k] * m[k][j] for k in range(3)), Poly.zero())
+            assert entry == (det if i == j else Poly.zero())
+
+
+def test_rank_skips_pivotless_columns():
+    m = _mat([["0", "x", "y"], ["0", "x^2", "x*y"], ["0", "1", "y + 1"]])
+    assert poly_det(m).is_zero()
+    assert poly_rank(m) == 2
+    assert poly_rank(_mat([["x", "y"], ["x^2", "x*y"]])) == 1
 
 
 def test_ratfunc_reduces_and_derivative():

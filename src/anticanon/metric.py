@@ -251,7 +251,8 @@ def kahler_defect(model: MetricModel) -> KahlerDefect:
         for l in range(i + 1, n):
             for k in range(n):
                 a_ik, a_lk = adj[i][k], adj[l][k]
-                num = ((a_ik.derivative(variables[l]) - a_lk.derivative(variables[i])) * det
+                z_l, z_i = variables[l], variables[i]
+                num = ((a_ik.derivative(z_l) - a_lk.derivative(z_i)) * det
                        - (a_ik * det_d[l] - a_lk * det_d[i]))
                 if not num.is_zero():
                     residuals[(i, k, l)] = RatFunc(num, det_sq)

@@ -11,8 +11,9 @@ polynomial in another order moves ``kahler.sampled_max_residual`` by an ulp
 or two without changing the value being estimated.
 
 The files were written from the code before ``sigma`` was kept as
-``adj(S)/det S``.  ``python tests/test_golden.py`` rewrites them from the
-current code, which is only right when an output change is intended.
+``adj(S)/det S``.  ``PYTHONPATH=src python tests/test_golden.py`` rewrites
+them from the current code, which is only right when an output change is
+intended.
 """
 
 from __future__ import annotations

@@ -29,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import NotSemiTorus, PatternViolation
 from .exact import ExactScalar, as_scalar
 from .linsolve import (

@@ -1009,10 +1009,6 @@ class RatFunc:
     def one() -> "RatFunc":
         return RatFunc(_P_ONE)
 
-    @staticmethod
-    def from_poly(p: Poly) -> "RatFunc":
-        return RatFunc(p)
-
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
         return self.num.is_zero()

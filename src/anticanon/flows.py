@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import BlowupDetected
 from .exact import ExactScalar, Poly
 from .fields import FieldBasis, VectorField

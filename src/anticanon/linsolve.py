@@ -117,9 +117,6 @@ class LinearSolution:
     particular: Vector | None
     nullspace: list[Vector]
 
-    def is_unique(self) -> bool:
-        return self.consistent and not self.nullspace
-
 
 def solve_linear(rows: Sequence[Sequence[ExactScalar]],
                  rhs: Sequence[ExactScalar]) -> LinearSolution:

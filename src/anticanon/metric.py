@@ -22,14 +22,14 @@ arc-length probe) cross-check those facts at floating-point resolution.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import BadDirection, NotHermitian, OnDivisor
 from .exact import ExactScalar, Poly, RatFunc, as_scalar
 from .fields import FieldBasis
@@ -278,8 +278,10 @@ def ricci_certificate(model: MetricModel, rng: Random, count: int = 20,
     """Verify the determinant identity behind Ricci flatness, exactly.
 
     ``log det g = log |det sigma|^2`` is pluriharmonic wherever
-    ``det sigma`` is holomorphic and nonvanishing; equality of the two sides
-    at every sampled point certifies the implementation of ``g``.
+    ``det sigma`` is holomorphic and nonvanishing.  Since ``g = sigma sigma*``
+    and ``det(sigma sigma*) = |det sigma|^2`` holds for every matrix, the
+    check's only content is ``|det sigma(p) * det S(p)| = 1`` at each sampled
+    point ``p``.
     """
     n = model.n
     checked, failures = 0, []
@@ -302,12 +304,13 @@ def ricci_certificate(model: MetricModel, rng: Random, count: int = 20,
 
 
 def ricci_probe(model: MetricModel, point: PointLike, h: float = 1e-4) -> float:
-    """Max mixed-derivative magnitude of ``log det g`` by central differences.
+    """Largest mixed derivative of ``log |det S|^(-2)``, by central differences.
 
     Builds the full matrix of Wirtinger mixed second derivatives of
     ``F = log |det S|^(-2)`` from real-direction central differences and
-    returns its max absolute entry; for the Ricci-flat family this is zero up
-    to stencil error.
+    returns its max absolute entry.  ``F`` is pluriharmonic for every
+    holomorphic ``det S``, so the result is zero up to stencil error for any
+    basis: the probe never reads ``g`` and cannot flag a wrong metric.
     """
     base = _to_complex_point(point)
     n = model.n
@@ -352,7 +355,12 @@ def ricci_probe(model: MetricModel, point: PointLike, h: float = 1e-4) -> float:
 # completeness probe
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """16-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(16)
+
 
 FINITE_RATIO = 0.75
 DIVERGENT_FLOOR = 1e-3
@@ -429,12 +437,13 @@ def completeness_probe(model: MetricModel, point: PointLike,
                        dtype=complex)
         return float(np.linalg.norm(sig.conj().T @ v))
 
+    nodes, weights = _gauss_legendre()
     lengths = []
     for j in range(depth):
         a, b = 2.0 ** (-j - 1), 2.0 ** (-j)
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         block = sum(w * speed(mid + half * x)
-                    for x, w in zip(_GL_NODES, _GL_WEIGHTS)) * half
+                    for x, w in zip(nodes, weights)) * half
         lengths.append(float(block))
 
     tail = lengths[-TAIL_BLOCKS:]

@@ -12,8 +12,6 @@ import json
 import os
 from typing import Sequence
 
-import numpy as np
-
 from .cone import (
     LatticeData,
     cone_dimension,

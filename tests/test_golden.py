@@ -2,8 +2,9 @@
 
 Each golden file under ``tests/golden/`` is the canonical report of one
 scenario at a fixed seed: the five bundled scenarios under a full
-``analyze``, and a handful of hand-written ``divisor kahler`` bases.  The
-degenerate bundled scenario is stored as its DegenerateBasis message.
+``analyze``, a handful of hand-written ``divisor kahler`` bases, and
+hand-written ``cone``-only lattices on C^4 to C^6.  The degenerate bundled
+scenario is stored as its DegenerateBasis message.
 
 Exact fields (strings, integers, booleans, nulls) must match byte for byte.
 Probe floats may differ by a relative 1e-12: summing the same terms of a
@@ -25,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from anticanon.cone import normal_form, pattern_dimension, stokes_constraints
 from anticanon.errors import DegenerateBasis
 from anticanon.report import run_report, serialize_report
 from anticanon.scenario import bundled_scenario_names, load_scenario, parse_scenario
@@ -83,11 +85,74 @@ analyses divisor kahler
 """,
 }
 
+# Hand-written lattices, analysed with ``cone`` only.  They cover a pushed-
+# forward torus (k = 0), random generators (k > 0), complex pairs ``v, i v``
+# with a dependent generator, and three residual-block cases (m > 0: the
+# ``*_residual`` ones and ``c5_lattice_complex_pairs``).
+LATTICES = {
+    "c4_lattice_torus": (4, "(-2+2*i, -2-i, -2+i, 1+i), (1-i, 2, 1+2*i, 2-i), "
+                            "(2, 2+i, -2-2*i, -1-i), (1-i, 2+i, -1-i, 2+i)"),
+    "c4_lattice_five": (4, "(3/2+2/3*i, -3/2-1/3*i, 1/2+2/3*i, 1-4*i), "
+                           "(2-3*i, -3/2, -2*i, 2*i), "
+                           "(4-2/3*i, -2+2/3*i, 1-4/3*i, 1/2+i), "
+                           "(2+i, -2+1/2*i, 0, -3/2+1/3*i), "
+                           "(-2*i, 1-2/3*i, 3/2-2/3*i, -i)"),
+    "c4_lattice_residual": (4, "(2+i, 3-1/3*i, 1/3+3*i, -2-i), "
+                               "(-1/2-2*i, 3/2*i, 4/3+3/2*i, 1+2/3*i), "
+                               "(2/3-i, 2+3*i, -3*i, -1/2-i)"),
+    "c5_lattice_complex_pairs": (5, "(4/3-2/3*i, -1-i, 1/2-i, -2, 1/2+1/2*i), "
+                                    "(2/3+4/3*i, 1-i, 1+1/2*i, -2*i, -1/2+1/2*i), "
+                                    "(2/3, -i, i, -2, 1-i), "
+                                    "(2/3*i, 1, -1, -2*i, 1+i), "
+                                    "(2-2*i, 3, 3+4*i, 4+2*i, -3), "
+                                    "(7/3-5/3*i, 1/2-i, 2+i, i, -1+1/2*i)"),
+    "c5_lattice_seven": (5, "(-3+1/3*i, -1+3/2*i, 2+2/3*i, i, 0), "
+                            "(1-3*i, -2-4*i, -1/2-i, -3/2+2/3*i, -2/3-3*i), "
+                            "(1/3-3/2*i, -4/3+1/3*i, 1-4*i, 4/3+2*i, -1/3+i), "
+                            "(2/3+3/2*i, -1/3+1/3*i, 3+3*i, 4/3, -2+3*i), "
+                            "(-2-2*i, 2+4*i, 1/2*i, 2/3-2/3*i, -4-4*i), "
+                            "(1+i, -4/3-2/3*i, -1-2*i, -3-i, -1/3), "
+                            "(-2-1/2*i, -3+4*i, -4/3+i, 2/3-2*i, -1/2-3*i)"),
+    "c6_lattice_eight": (6, "(1/2-3*i, 1+2*i, -4/3+i, -1-1/2*i, -1/2-i, -1/2-1/3*i), "
+                            "(1+i, 3-1/2*i, -1/3*i, -3/2-i, -i, -2+3*i), "
+                            "(-4+1/3*i, 3+4*i, -1+2*i, 1-2*i, i, 2-2/3*i), "
+                            "(3/2, -2+3/2*i, 1/3+i, -4/3+i, -1-1/3*i, 1/3), "
+                            "(1+i, -2*i, -4/3+4/3*i, 2+i, -3+4/3*i, 4/3-4*i), "
+                            "(1-2/3*i, -2-3*i, -1-i, -1+1/3*i, 2/3-4*i, 2), "
+                            "(-4+4/3*i, i, 4/3+i, -1/3-1/3*i, -4/3*i, 3-i), "
+                            "(-2/3-1/3*i, 0, -4+4*i, -1+4*i, -4+1/3*i, -1-4*i)"),
+    "c6_lattice_residual": (6, "(0, 4/3-1/2*i, -1+2*i, -3+3*i, 2-4*i, 0), "
+                               "(0, 4-4*i, -1/3*i, 1/3+i, 4-3*i, 0), "
+                               "(0, -1/2, 1/3-2*i, -4-1/3*i, -1-2/3*i, 0), "
+                               "(0, 1/2+i, 1, -2-i, -3+4/3*i, 0)"),
+    "c6_lattice_ten": (6, "(3/2*i, -3/2*i, 4+3/2*i, 2*i, -3-4*i, 3/2+i), "
+                          "(-4/3*i, -2+1/3*i, 3*i, -3/2-i, -1-3*i, 4-2*i), "
+                          "(1-1/3*i, -2+i, -4/3-1/3*i, 1/3-4*i, 1+3/2*i, 1-3*i), "
+                          "(-1-1/3*i, 3/2, -1-2*i, 2-1/2*i, 1-4/3*i, -1/3-2*i), "
+                          "(-4-i, 4+1/3*i, -1+1/2*i, -1/2-2*i, -2/3+2/3*i, 1-i), "
+                          "(-1/2-2/3*i, -1, 3, -3, -4/3+2/3*i, 0), "
+                          "(-2/3-4*i, -3/2-i, -1/2-1/2*i, 1/3*i, 2, 1-i), "
+                          "(1/3-1/3*i, 2/3+4*i, 4*i, -i, -1/3+2/3*i, -3/2+3/2*i), "
+                          "(3+3*i, -1/3+2*i, -2+3/2*i, -1/3-4/3*i, -4/3-i, -1-3/2*i), "
+                          "(1, 4-4*i, i, 2*i, 1-i, 2-i)"),
+}
+
+
+def _lattice_text(name: str) -> str:
+    n, generators = LATTICES[name]
+    fields = "".join(f"field e{k} = d{k}\n" for k in range(1, n + 1))
+    return f"ambient C{n}\n{fields}lattice {generators}\nanalyses cone\n"
+
+
+CASES = BUNDLED + tuple(HANDWRITTEN) + tuple(LATTICES)
+
 
 def _report(name: str):
     """The canonical report of a case as parsed JSON, or the error message."""
     if name in HANDWRITTEN:
         scenario = parse_scenario(HANDWRITTEN[name], name=name)
+    elif name in LATTICES:
+        scenario = parse_scenario(_lattice_text(name), name=name)
     else:
         scenario = load_scenario(name)
     try:
@@ -120,10 +185,22 @@ def test_golden_cases_cover_every_bundled_scenario():
     assert sorted(BUNDLED) == bundled_scenario_names()
 
 
-@pytest.mark.parametrize("name", BUNDLED + tuple(HANDWRITTEN))
+@pytest.mark.parametrize("name", CASES)
 def test_report_matches_golden(name):
     expected = json.loads((GOLDEN / f"{name}.json").read_text())
     assert _differences(expected, _report(name)) == []
+
+
+@pytest.mark.parametrize("name", tuple(LATTICES))
+def test_stokes_dim_is_pattern_dimension(name):
+    """``pattern_dimension``'s claim: in adapted coordinates the period
+    constraints cut out exactly the forms with vanishing k x k and k x l
+    blocks and a real l x l block.  The constraints touch only the leading
+    (k + l) square block, so the count holds with a residual block (m > 0)
+    too, and those lattices are pinned as well."""
+    lattice = parse_scenario(_lattice_text(name), name=name).lattice
+    nf = normal_form(lattice)
+    assert stokes_constraints(lattice).solution_dim == pattern_dimension(nf)
 
 
 def test_float_tolerance_is_relative_and_exact_fields_are_not():
@@ -135,6 +212,6 @@ def test_float_tolerance_is_relative_and_exact_fields_are_not():
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for case in BUNDLED + tuple(HANDWRITTEN):
+    for case in CASES:
         (GOLDEN / f"{case}.json").write_text(serialize_report(_report(case)))
         print(f"wrote {GOLDEN / case}.json", file=sys.stderr)

@@ -162,7 +162,7 @@ def normal_form(lattice: LatticeData) -> NormalForm:
     for r in w_real:
         cand = _complexify(r, n)
         stack = [row for row in u_cols] + [cand]
-        if matrix_rank([_as_row(c) for c in stack]) == len(stack):
+        if matrix_rank(stack) == len(stack):
             u_cols.append(cand)
         if len(u_cols) == k:
             break
@@ -186,7 +186,7 @@ def normal_form(lattice: LatticeData) -> NormalForm:
             break
         cand = [ExactScalar(1 if j == p else 0) for j in range(n)]
         stack = cols + [cand]
-        if matrix_rank([_as_row(c) for c in stack]) == len(stack):
+        if matrix_rank(stack) == len(stack):
             cols.append(cand)
     if len(cols) != n:
         raise AssertionError("failed to complete the adapted basis")
@@ -197,10 +197,6 @@ def normal_form(lattice: LatticeData) -> NormalForm:
     nf = NormalForm(n, k, l, m, T, P, lattice, adapted)
     _check_normal_form(nf)
     return nf
-
-
-def _as_row(v: Sequence[ExactScalar]) -> list[ExactScalar]:
-    return list(v)
 
 
 def _check_normal_form(nf: NormalForm):
@@ -245,15 +241,6 @@ def hermitian_from_params(params: Sequence, n: int) -> np.ndarray:
         H[p, q] = x + 1j * y
         H[q, p] = x - 1j * y
     return H
-
-
-def params_from_hermitian(H: np.ndarray) -> list[float]:
-    n = H.shape[0]
-    out = [float(H[p, p].real) for p in range(n)]
-    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    out += [float(H[p, q].real) for p, q in pairs]
-    out += [float(H[p, q].imag) for p, q in pairs]
-    return out
 
 
 # ---------------------------------------------------------------------------

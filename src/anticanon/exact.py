@@ -137,10 +137,6 @@ class ExactScalar:
     def conjugate(self) -> "ExactScalar":
         return ExactScalar(self.re, -self.im)
 
-    def abs2(self) -> "ExactScalar":
-        """|z|^2 as an exact (real) scalar."""
-        return ExactScalar(self.re * self.re + self.im * self.im)
-
     # -- conversions --------------------------------------------------------
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * float(self.im)

@@ -1,13 +1,23 @@
 """Exact linear algebra over Gaussian-rational scalars.
 
 Matrices are plain lists of rows of :class:`~anticanon.exact.ExactScalar`.
-Everything here is deterministic: pivots are chosen by position, never by
-magnitude, so results are reproducible and exactly rational.
+Every routine here reads one fraction-free elimination (Bareiss): each row
+is multiplied once by the least common multiple of its denominators, the
+elimination runs on Gaussian integers kept as pairs of Python ints and
+divides exactly by the previous pivot at each step, and rationals come back
+only when the pivot rows are normalised at the end.
+
+Pivots are chosen by position, never by magnitude, so results are
+reproducible.  The reduced row-echelon form of a matrix is unique, so the
+normalised rows are the same canonical RREF that Gauss-Jordan over the
+rationals gives, and everything read from them is unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import SingularMatrix
@@ -17,64 +27,123 @@ Matrix = list[list[ExactScalar]]
 Vector = list[ExactScalar]
 
 
-def _clone(rows: Sequence[Sequence[ExactScalar]]) -> Matrix:
-    return [[as_scalar(e) for e in row] for row in rows]
+@dataclass
+class _Echelon:
+    """A fraction-free echelon form of the row-scaled matrix.
+
+    Entry ``(r, j)`` is ``re[r][j] + i*im[r][j]``.  ``scale`` is the product
+    of the factors that cleared the denominators of the input rows, ``sign``
+    the sign of the row permutation and ``last`` the last pivot taken.
+    """
+
+    re: list[list[int]]
+    im: list[list[int]]
+    scale: int
+    pivots: list[int]
+    sign: int
+    last: tuple[int, int]
+
+
+def _eliminate(rows: Sequence[Sequence[ExactScalar]], reduce: bool) -> _Echelon:
+    """Bareiss elimination over the Gaussian integers.
+
+    After the step that takes the pivot ``p`` at ``(r, c)``, every other row
+    ``k`` it touches becomes ``(p*row_k - row_k[c]*row_r) / q``, with ``q``
+    the previous pivot.  Its entries are then minors of the scaled matrix
+    (Sylvester's identity), so the division by ``q`` is exact.  Without
+    ``reduce`` only the rows below ``r`` are eliminated, which is enough for
+    the rank and the determinant.  With ``reduce`` the rows above are too
+    (fraction-free Gauss-Jordan), and every pivot entry ends equal to
+    ``last``.
+    """
+    re: list[list[int]] = []
+    im: list[list[int]] = []
+    scales: list[int] = []
+    for row in rows:
+        entries = [as_scalar(e) for e in row]
+        scale = math.lcm(*(x.denominator for e in entries for x in (e.re, e.im)))
+        re.append([e.re.numerator * (scale // e.re.denominator) for e in entries])
+        im.append([e.im.numerator * (scale // e.im.denominator) for e in entries])
+        scales.append(scale)
+    nrows = len(re)
+    ncols = len(re[0]) if re else 0
+    real = not any(any(row) for row in im)
+    qr, qi = 1, 0
+    pivots: list[int] = []
+    sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        k = next((k for k in range(r, nrows) if re[k][c] or im[k][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            re[r], re[k] = re[k], re[r]
+            im[r], im[k] = im[k], im[r]
+            sign = -sign
+        pr, pi = re[r][c], im[r][c]
+        br, bi = re[r], im[r]
+        norm = qr * qr + qi * qi
+        for k in range(0 if reduce else r + 1, nrows):
+            if k == r:
+                continue
+            ar, ai = re[k], im[k]
+            fr, fi = ar[c], ai[c]
+            if not (pi or fi or qi):
+                # real multipliers act on each part alone
+                ar[:] = [(pr * a - fr * b) // qr for a, b in zip(ar, br)]
+                if not real:
+                    ai[:] = [(pr * a - fr * b) // qr for a, b in zip(ai, bi)]
+            else:
+                tr = [pr * a - pi * x - fr * b + fi * y
+                      for a, x, b, y in zip(ar, ai, br, bi)]
+                ti = [pr * x + pi * a - fr * y - fi * b
+                      for a, x, b, y in zip(ar, ai, br, bi)]
+                ar[:] = [(t * qr + u * qi) // norm for t, u in zip(tr, ti)]
+                ai[:] = [(u * qr - t * qi) // norm for t, u in zip(tr, ti)]
+        pivots.append(c)
+        qr, qi = pr, pi
+    return _Echelon(re, im, math.prod(scales), pivots, sign, (qr, qi))
+
+
+def _quotient(ar: int, ai: int, dr: int, di: int) -> ExactScalar:
+    """The Gaussian rational ``(ar + ai*i) / (dr + di*i)``."""
+    norm = dr * dr + di * di
+    return ExactScalar(Fraction(ar * dr + ai * di, norm),
+                       Fraction(ai * dr - ar * di, norm))
 
 
 def rref(rows: Sequence[Sequence[ExactScalar]]) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form and pivot columns."""
-    m = _clone(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(m):
-            break
-        pivot = next((k for k in range(r, len(m)) if not m[k][c].is_zero()), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [e * inv for e in m[r]]
-        for k in range(len(m)):
-            if k == r or m[k][c].is_zero():
-                continue
-            f = m[k][c]
-            m[k] = [a - f * b for a, b in zip(m[k], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    """Reduced row-echelon form and pivot columns.
+
+    The fraction-free pivot rows all end with the same pivot entry, so one
+    division normalises them.
+    """
+    ech = _eliminate(rows, reduce=True)
+    dr, di = ech.last
+    zero = ExactScalar.zero()
+    out = [[_quotient(a, x, dr, di) for a, x in zip(ech.re[r], ech.im[r])]
+           for r in range(len(ech.pivots))]
+    out += [[zero] * len(row) for row in ech.re[len(ech.pivots):]]
+    return out, ech.pivots
 
 
 def matrix_rank(rows: Sequence[Sequence[ExactScalar]]) -> int:
-    _, pivots = rref(rows)
-    return len(pivots)
+    return len(_eliminate(rows, reduce=False).pivots)
 
 
 def matrix_det(rows: Sequence[Sequence[ExactScalar]]) -> ExactScalar:
-    """Exact determinant by Gaussian elimination."""
+    """Exact determinant: the last Bareiss pivot over the row scale factors."""
     n = len(rows)
-    m = _clone(rows)
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    det = ExactScalar(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if not m[r][c].is_zero()), None)
-        if pivot is None:
-            return ExactScalar(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = m[c][c].inverse()
-        for r in range(c + 1, n):
-            if m[r][c].is_zero():
-                continue
-            f = m[r][c] * inv
-            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return det
+    ech = _eliminate(rows, reduce=False)
+    if len(ech.pivots) < n:
+        return ExactScalar(0)
+    dr, di = ech.last
+    return ExactScalar(Fraction(ech.sign * dr, ech.scale),
+                       Fraction(ech.sign * di, ech.scale))
 
 
 def matrix_inverse(rows: Sequence[Sequence[ExactScalar]]) -> Matrix:
@@ -169,6 +238,8 @@ def intersect_row_spaces(a: Sequence[Sequence[ExactScalar]],
         coeffs = combo[:len(a)]
         vec = [ExactScalar(0)] * acols
         for w, row in zip(coeffs, a):
+            if w.is_zero():
+                continue
             for c in range(acols):
                 vec[c] = vec[c] + w * row[c]
         if any(not e.is_zero() for e in vec):

@@ -22,7 +22,6 @@ from anticanon.cone import (
     hermitian_param_labels,
     is_exact_form,
     normal_form,
-    params_from_hermitian,
     pattern_dimension,
     stokes_constraints,
     to_adapted,
@@ -120,6 +119,16 @@ def test_normal_form_type_is_gl_invariant():
 # ---------------------------------------------------------------------------
 # period constraints
 # ---------------------------------------------------------------------------
+
+
+def params_from_hermitian(H: np.ndarray) -> list[float]:
+    """Inverse of ``hermitian_from_params``."""
+    n = H.shape[0]
+    out = [float(H[p, p].real) for p in range(n)]
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    out += [float(H[p, q].real) for p, q in pairs]
+    out += [float(H[p, q].imag) for p, q in pairs]
+    return out
 
 
 def test_param_labels_and_roundtrip():

@@ -36,7 +36,7 @@ def test_scalar_arithmetic_frozen():
     assert (a + b) == ExactScalar(Fraction(5, 2), 2)
     assert (a * b) == ExactScalar(4, Fraction(11, 2))
     assert b.conjugate() == ExactScalar(2, 1)
-    assert b.abs2() == Fraction(5)
+    assert b * b.conjugate() == Fraction(5)
     assert (b * b.inverse()) == ExactScalar(1)
 
 

@@ -1,5 +1,14 @@
-"""Exact linear algebra over Gaussian rationals."""
+"""Exact linear algebra over Gaussian rationals.
 
+The library eliminates fraction-free over the Gaussian integers.  The
+differential tests below compare it with a plain Gauss-Jordan over
+``ExactScalar`` (``Fraction`` pairs), the routine the library used before,
+kept here as the oracle, and with sympy's ``DomainMatrix`` over ``QQ_I``.
+"""
+
+import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -15,6 +24,7 @@ from anticanon.linsolve import (
     matrix_rank,
     nullspace_basis,
     row_space_basis,
+    rref,
     solve_linear,
 )
 
@@ -130,3 +140,179 @@ def test_row_space_basis_spans_original_rows(a):
     assert len(basis) == matrix_rank(a)
     for row in a:
         assert in_row_space(basis, row) or all(x == E(0) for x in row)
+
+
+# ---------------------------------------------------------------------------
+# differential tests against Gauss-Jordan over Fraction pairs
+# ---------------------------------------------------------------------------
+
+
+def _oracle_rref(rows):
+    """Reduced row-echelon form by Gauss-Jordan over ``ExactScalar``."""
+    m = [list(row) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        if r == len(m):
+            break
+        pivot = next((k for k in range(r, len(m)) if not m[k][c].is_zero()), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [e * inv for e in m[r]]
+        for k in range(len(m)):
+            if k == r or m[k][c].is_zero():
+                continue
+            f = m[k][c]
+            m[k] = [a - f * b for a, b in zip(m[k], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _oracle_det(rows):
+    """Determinant by Gaussian elimination over ``ExactScalar``."""
+    n = len(rows)
+    m = [list(row) for row in rows]
+    det = E(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if not m[r][c].is_zero()), None)
+        if pivot is None:
+            return E(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det = det * m[c][c]
+        inv = m[c][c].inverse()
+        for r in range(c + 1, n):
+            f = m[r][c] * inv
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+def _oracle_nullspace(rows):
+    red, pivots = _oracle_rref(rows)
+    ncols = len(rows[0])
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [E(0)] * ncols
+        vec[fc] = E(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        basis.append(vec)
+    return basis
+
+
+_parts = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=10):
+    """Gaussian-rational matrices, often real, with zero rows and columns
+    and rows that are combinations of others."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    real = draw(st.booleans())
+    entry = st.one_of(st.just(E(0)),
+                      st.builds(E, _parts, st.just(0) if real else _parts))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    index = st.integers(0, nrows - 1)
+    for _ in range(draw(st.integers(0, 2))):
+        t, a, b = draw(index), draw(index), draw(index)
+        w = draw(st.builds(E, _parts, st.just(0) if real else _parts))
+        rows[t] = [x + w * y for x, y in zip(rows[a], rows[b])]
+    for t in draw(st.sets(index, max_size=2)):
+        rows[t] = [E(0)] * ncols
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[c] = E(0)
+    return rows
+
+
+@given(matrices())
+@settings(max_examples=60, deadline=None)
+def test_rref_rank_and_nullspace_match_fraction_oracle(a):
+    red, pivots = _oracle_rref(a)
+    assert rref(a) == (red, pivots)
+    assert matrix_rank(a) == len(pivots)
+    assert nullspace_basis(a) == _oracle_nullspace(a)
+
+
+@given(matrices(max_cols=6))
+@settings(max_examples=40, deadline=None)
+def test_det_and_inverse_match_fraction_oracle(a):
+    n = min(len(a), len(a[0]))
+    square = [row[:n] for row in a[:n]]
+    assert matrix_det(square) == _oracle_det(square)
+    red, pivots = _oracle_rref([row + [E(1 if j == k else 0) for j in range(n)]
+                                for k, row in enumerate(square)])
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(SingularMatrix):
+            matrix_inverse(square)
+    else:
+        assert matrix_inverse(square) == [row[n:] for row in red]
+
+
+def test_oracle_agrees_on_frozen_cases():
+    a = _m([[0, 2, 4], [0, 1, 2], [(0, 1), 0, 1]])
+    assert rref(a) == _oracle_rref(a)
+    assert rref(a)[1] == [0, 1]
+    assert matrix_det(_m([[(1, 1), 2], [3, (0, -1)]])) == E(-5, -1)
+    assert _oracle_det(_m([[(1, 1), 2], [3, (0, -1)]])) == E(-5, -1)
+
+
+# ---------------------------------------------------------------------------
+# sympy, on a few seeded matrices
+# ---------------------------------------------------------------------------
+
+SYMPY_DEADLINE_S = 30
+
+
+@contextmanager
+def _deadline(seconds: int):
+    def _expired(signum, frame):
+        raise TimeoutError(f"case did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, _expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _seeded_matrix(seed: int, nrows: int, ncols: int, rank: int):
+    """A product of random ``nrows x rank`` and ``rank x ncols`` factors."""
+    rng = random.Random(seed)
+
+    def scalar():
+        return E(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                 Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+
+    left = [[scalar() for _ in range(rank)] for _ in range(nrows)]
+    right = [[scalar() for _ in range(ncols)] for _ in range(rank)]
+    return [[sum((left[i][t] * right[t][j] for t in range(rank)), E(0))
+             for j in range(ncols)] for i in range(nrows)]
+
+
+@pytest.mark.parametrize("seed, shape", [
+    (1, (4, 6, 4)), (2, (6, 10, 3)), (3, (6, 6, 6)), (4, (5, 8, 2)),
+])
+def test_rank_and_rref_match_sympy(seed, shape):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    a = _seeded_matrix(seed, *shape)
+    elements = [[QQ_I(e.re, e.im) for e in row] for row in a]
+    with _deadline(SYMPY_DEADLINE_S):
+        reference = DomainMatrix(elements, (len(a), len(a[0])), QQ_I)
+        red, pivots = reference.rref()
+        red = red.to_list()
+    assert matrix_rank(a) == reference.rank() == shape[2]
+    ours, our_pivots = rref(a)
+    assert our_pivots == list(pivots)
+    assert [[QQ_I(e.re, e.im) for e in row] for row in ours] == red

@@ -91,7 +91,8 @@ def _eliminate(rows: Sequence[Sequence[ExactScalar]], reduce: bool) -> _Echelon:
             ar, ai = re[k], im[k]
             fr, fi = ar[c], ai[c]
             if not (pi or fi or qi):
-                # real multipliers act on each part alone
+                # real multipliers act on each part alone, and a real
+                # matrix has no imaginary part to update
                 ar[:] = [(pr * a - fr * b) // qr for a, b in zip(ar, br)]
                 if not real:
                     ai[:] = [(pr * a - fr * b) // qr for a, b in zip(ai, bi)]

@@ -37,10 +37,8 @@ from .linsolve import (
     intersect_row_spaces,
     matrix_inverse,
     matrix_rank,
-    nullspace_basis,
     row_space_basis,
 )
-from .metric import HermitianMatrix
 
 ExactVector = list[ExactScalar]
 ExactMatrix = list[list[ExactScalar]]
@@ -261,19 +259,6 @@ class StokesSystem:
     def solution_dim(self) -> int:
         return self.n * self.n - self.rank
 
-    def solution_basis(self) -> list[np.ndarray]:
-        """Hermitian basis of the constraint kernel (floats, from exact data)."""
-        if not self.rows:
-            null = [[ExactScalar(1 if j == t else 0)
-                     for j in range(self.n * self.n)]
-                    for t in range(self.n * self.n)]
-        else:
-            null = nullspace_basis(self.rows)
-        out = []
-        for vec in null:
-            out.append(hermitian_from_params([float(e.re) for e in vec], self.n))
-        return out
-
 
 def stokes_constraints(lattice: LatticeData) -> StokesSystem:
     """One exact constraint row per unordered generator pair.
@@ -369,6 +354,8 @@ def _blocks(omega: np.ndarray, nf: NormalForm):
 
 
 def _as_array(omega) -> np.ndarray:
+    from .metric import HermitianMatrix
+
     if isinstance(omega, HermitianMatrix):
         return omega.data.copy()
     arr = np.array(omega, dtype=complex)

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateBasis
 from .exact import (
-    ExactScalar,
     Poly,
-    exact_divide,
     poly_det,
     poly_divmod,
     squarefree_decompose,
@@ -48,12 +46,6 @@ class DivisorSection:
     def is_empty(self) -> bool:
         """True when the section is a nonzero constant (no zero locus)."""
         return self.section.is_constant()
-
-    def reduced_section(self) -> Poly:
-        out = Poly.one()
-        for f, _m in self.factors:
-            out = out * f
-        return out
 
     def reassembled(self) -> Poly:
         """Product of the factors with multiplicity; equals the section."""
@@ -144,28 +136,6 @@ def tangency_projective(basis: ProjectiveBasis,
         derivs.append(vf)
         rems.append(r)
     return TangencyReport(tuple(verdicts), tuple(derivs), tuple(rems))
-
-
-def multiplicity_of(section: DivisorSection, factor: Poly) -> int:
-    """Multiplicity of a monic irreducible-or-squarefree factor in the section."""
-    target = factor.monic()
-    for f, m in section.factors:
-        if f == target:
-            return m
-        if exact_divide(f, target) is not None and not target.is_constant():
-            return m
-    return 0
-
-
-def euler_applied(section: DivisorSection) -> tuple[Poly, ExactScalar]:
-    """Euler-field derivative of a homogeneous section: ``E(F) = deg(F) * F``."""
-    if not section.homogeneous:
-        raise ValueError("Euler derivative only applies to homogeneous sections")
-    f = section.section
-    total = Poly.zero()
-    for j in range(section.ambient_dim + 1):
-        total = total + Poly.var(f"z{j}") * f.derivative(f"z{j}")
-    return total, ExactScalar(section.degree)
 
 
 def format_factors(section: DivisorSection) -> list[dict]:

@@ -858,15 +858,6 @@ def squarefree_decompose(p: Poly) -> tuple[ExactScalar, tuple[tuple[Poly, int], 
     return scale, tuple(factors)
 
 
-def squarefree_part(p: Poly) -> Poly:
-    """Product of the distinct monic factors of ``p``."""
-    _, factors = squarefree_decompose(p)
-    out = _P_ONE
-    for f, _m in factors:
-        out = out * f
-    return out.monic()
-
-
 # ---------------------------------------------------------------------------
 # determinants
 # ---------------------------------------------------------------------------

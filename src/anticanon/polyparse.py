@@ -12,11 +12,17 @@ reduce to a nonzero constant, which makes ``3/4`` and ``(1+i)/2`` legal while
 keeping the result a polynomial.  Exponents are non-negative integers.
 The printer in :mod:`anticanon.exact` emits text this parser maps back to the
 identical canonical form.
+
+:func:`parse_scalar` reads plain Gaussian rationals (``a``, ``b*i``, ``bi``,
+``i``, ``a±b*i``) directly and hands any other text to the grammar, so both
+accept the same language with the same values and errors.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import ParseError
 from .exact import ExactScalar, Poly
@@ -170,7 +176,32 @@ def parse_poly(text: str, variables: "set[str] | list[str] | tuple[str, ...] | N
     return result
 
 
+# A plain Gaussian rational.  Denominators are nonzero and digits are ASCII,
+# so every match means what the grammar would read: the sign between the
+# parts is required, because "2 3i" multiplies.
+_RATIONAL = r"[0-9]+(?:\s*/\s*0*[1-9][0-9]*)?"
+_IMAGINARY = rf"(?:{_RATIONAL}\s*\*?\s*)?i"
+_GAUSSIAN = re.compile(rf"\s*(?:(?P<re>[+-]?\s*{_RATIONAL})"
+                       rf"(?:\s*(?P<im>[+-]\s*{_IMAGINARY}))?"
+                       rf"|(?P<im_only>[+-]?\s*{_IMAGINARY}))\s*")
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def _signed_rational(part: "str | None") -> Fraction:
+    """Value of a matched ``[±] [p[/q]]`` part: a missing part is 0 and a
+    missing magnitude (``i``) is 1."""
+    if part is None:
+        return Fraction(0)
+    digits = _DIGITS.findall(part)          # [], [p] or [p, q]
+    num = int(digits[0]) if digits else 1
+    den = int(digits[1]) if len(digits) > 1 else 1
+    return Fraction(-num if "-" in part else num, den)
+
+
 def parse_scalar(text: str) -> ExactScalar:
     """Parse a constant expression such as ``-3/4 + 2*i``."""
-    p = parse_poly(text, variables=set())
-    return p.constant_value()
+    match = _GAUSSIAN.fullmatch(text)
+    if match is not None:
+        return ExactScalar(_signed_rational(match["re"]),
+                           _signed_rational(match["im"] or match["im_only"]))
+    return parse_poly(text, variables=set()).constant_value()

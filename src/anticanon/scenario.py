@@ -19,20 +19,30 @@ On ``C<n>`` the fields use variables ``z1..zn`` and ``d<k>`` means
 ``z0..zn`` with linear-form coefficients, and ``d<k>`` means ``d/dz_k`` on
 any lift; analysis localizes them to charts as needed.
 
-Lattice entries are exact scalars (``i``, ``1/2``, ``3-2i``); floats are
-rejected, keeping the lattice layer exact.
+``depth``, ``steps`` and ``points`` are integers of at least 1; ``h`` and
+``tmax`` are finite positive numbers.  Anything else is a :class:`ParseError`
+naming the directive.
+
+Lattice entries are exact scalars.  Plain Gaussian rationals ``a``, ``b*i``,
+``bi``, ``i`` and ``a±b*i`` (``a`` and ``b`` integers or ``p/q``, signs
+optional, e.g. ``-1/2``, ``3-2i``, ``1/2 + 3/4*i``) are read directly; any
+other constant expression (``(1+i)/2``, ``2^3``) goes through the polynomial
+grammar.  Floats are rejected, keeping the lattice layer exact.
+
+Parsing loads only the exact kernel and the parser; the lattice layer
+(:mod:`anticanon.cone`) loads when a ``lattice`` line is read, and the field
+layer when a basis is built.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
-from .cone import LatticeData
 from .errors import ParseError
 from .exact import Poly
-from .fields import FieldBasis, ProjectiveBasis, VectorField, Chart, ProjectiveField
 from .polyparse import Token, tokenize, _Parser, parse_scalar
 
 ALL_ANALYSES = ("divisor", "kahler", "completeness", "ricci", "flow", "cone")
@@ -69,6 +79,8 @@ class Scenario:
         return f"{self.ambient}{self.n}"
 
     def projective_basis(self) -> ProjectiveBasis:
+        from .fields import ProjectiveBasis, ProjectiveField
+
         if self.ambient != "P":
             raise ValueError("not a projective scenario")
         fields = []
@@ -80,6 +92,8 @@ class Scenario:
         return ProjectiveBasis(fields)
 
     def affine_basis(self) -> FieldBasis:
+        from .fields import Chart, FieldBasis, VectorField
+
         if self.ambient != "C":
             raise ValueError("not an affine scenario")
         chart = Chart.affine(self.n)
@@ -158,6 +172,8 @@ def _parse_field_expr(expr: str, ambient: str, n: int, line: int
 
 
 def _parse_lattice(expr: str, n: int, line: int) -> LatticeData:
+    from .cone import LatticeData
+
     expr = expr.strip()
     if expr == "none":
         return LatticeData.trivial(n)
@@ -246,15 +262,15 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         elif key == "seed":
             config.seed = _int_of(rest, "seed", lineno)
         elif key == "depth":
-            config.depth = _int_of(rest, "depth", lineno)
+            config.depth = _count_of(rest, "depth", lineno)
         elif key == "steps":
-            config.steps = _int_of(rest, "steps", lineno)
+            config.steps = _count_of(rest, "steps", lineno)
         elif key == "points":
-            config.n_points = _int_of(rest, "points", lineno)
+            config.n_points = _count_of(rest, "points", lineno)
         elif key == "h":
-            config.h = _float_of(rest, "h", lineno)
+            config.h = _positive_of(rest, "h", lineno)
         elif key == "tmax":
-            config.t_max = _float_of(rest, "tmax", lineno)
+            config.t_max = _positive_of(rest, "tmax", lineno)
         elif key == "analyses":
             chosen = tuple(rest.split())
             unknown = [a for a in chosen if a not in ALL_ANALYSES]
@@ -280,11 +296,22 @@ def _int_of(text: str, what: str, line: int) -> int:
         raise ParseError(f"{what} must be an integer (got {text!r})", line=line)
 
 
-def _float_of(text: str, what: str, line: int) -> float:
+def _count_of(text: str, what: str, line: int) -> int:
+    value = _int_of(text, what, line)
+    if value < 1:
+        raise ParseError(f"{what} must be at least 1 (got {value})", line=line)
+    return value
+
+
+def _positive_of(text: str, what: str, line: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"{what} must be a number (got {text!r})", line=line)
+    if not (0 < value < math.inf):
+        raise ParseError(f"{what} must be finite and positive (got {text!r})",
+                         line=line)
+    return value
 
 
 # ---------------------------------------------------------------------------

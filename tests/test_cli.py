@@ -131,6 +131,13 @@ def test_main_parse_error_exit(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_main_impossible_probe_setting_exit(tmp_path, capsys):
+    bad = tmp_path / "bad.scn"
+    bad.write_text("ambient C2\nfield s1 = d1\nfield s2 = d2\ndepth 0\n")
+    assert main(["analyze", str(bad)]) == EXIT_PARSE
+    assert "depth must be at least 1 (got 0) (line 4)" in capsys.readouterr().err
+
+
 def test_main_out_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     assert main(["analyze", "p2_toric", "--json", "--out", str(target)]) \

@@ -88,3 +88,39 @@ def test_import_without_numpy_fails():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode != 0
     assert "ModuleNotFoundError: No module named 'numpy'" in done.stderr
+
+
+def test_parsing_loads_no_analysis_layer():
+    # A lattice and a basis parse with the exact kernel, the parser and the
+    # lattice layer only; the first report loads the analysis layers.
+    program = textwrap.dedent('''
+        import sys
+
+        import anticanon
+
+        ANALYSIS = ("anticanon.metric", "anticanon.flows", "anticanon.divisor",
+                    "anticanon.report")
+
+        def loaded():
+            return [m for m in ANALYSIS if m in sys.modules]
+
+        assert loaded() == [], loaded()
+        lattice = anticanon.parse_scenario(
+            "ambient C4\\nfield e1 = d1\\nfield e2 = d2\\nfield e3 = d3\\n"
+            "field e4 = d4\\nlattice (1, i, 0, 1/2), (0, 1, 2*i, 0), "
+            "(1/3-i, 0, 1, 1)\\nanalyses cone\\n", name="lattice")
+        basis = anticanon.parse_scenario(
+            "ambient C2\\nfield s1 = (2*z1 - i*z1 + 1) d1 + (-i*z2) d2\\n"
+            "field s2 = (-z2 + 2*i*z2) d1 + (i*z1 + 1 - i) d2\\n", name="basis")
+        assert loaded() == [], loaded()
+        assert "anticanon.fields" not in sys.modules
+        assert "anticanon.cone" in sys.modules
+        anticanon.run_report(lattice, seed_override=1)
+        assert loaded() == list(ANALYSIS), loaded()
+    ''')
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", program], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -115,3 +115,26 @@ def test_analyses_tuple_is_subset_of_known():
         sc = load_scenario(name)
         if sc.analyses is not None:
             assert set(sc.analyses) <= set(ALL_ANALYSES)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("depth 0", "depth must be at least 1"),
+    ("steps -3", "steps must be at least 1"),
+    ("points 0", "points must be at least 1"),
+    ("h nan", "h must be finite and positive"),
+    ("h -1", "h must be finite and positive"),
+    ("h 0", "h must be finite and positive"),
+    ("tmax inf", "tmax must be finite and positive"),
+    ("tmax -1", "tmax must be finite and positive"),
+])
+def test_impossible_probe_settings_are_parse_errors(line, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_scenario(f"ambient C2\nfield v = z1 d1\n{line}\n", name="t")
+    assert err.value.line == 3
+
+
+def test_smallest_probe_settings_are_accepted():
+    sc = parse_scenario("ambient C2\nfield v = z1 d1\ndepth 1\nsteps 1\n"
+                        "points 1\nh 1e-300\ntmax 5e-324\n", name="t")
+    assert (sc.config.depth, sc.config.steps, sc.config.n_points) == (1, 1, 1)
+    assert sc.config.h == 1e-300 and sc.config.t_max == 5e-324

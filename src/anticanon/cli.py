@@ -25,15 +25,8 @@ import argparse
 import sys
 
 from .errors import AnticanonError, DegenerateBasis, OnDivisor, ParseError
-from .metric import metric_at
 from .polyparse import parse_scalar
-from .report import (
-    render_text,
-    resolve_seed,
-    run_report,
-    serialize_report,
-)
-from .scenario import ALL_ANALYSES, Scenario, bundled_scenario_names, load_scenario
+from .scenario import Scenario, bundled_scenario_names, load_scenario
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -94,6 +87,8 @@ def _load(args: argparse.Namespace) -> Scenario:
 
 
 def _emit(args: argparse.Namespace, report: dict) -> None:
+    from .report import render_text, serialize_report
+
     text = serialize_report(report) if args.json else render_text(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -108,6 +103,7 @@ def _subset(report: dict, keys: "tuple[str, ...]") -> dict:
 
 
 def _metric_point_block(scenario: Scenario, point_text: str) -> dict:
+    from .metric import metric_at
     from .report import PreparedModel
 
     model = PreparedModel(scenario)
@@ -135,6 +131,9 @@ def main(argv: "list[str] | None" = None) -> int:
         for name in bundled_scenario_names():
             print(name)
         return EXIT_OK
+
+    # The analysis layers load only for the subcommands that run them.
+    from .report import run_report
 
     try:
         scenario = _load(args)

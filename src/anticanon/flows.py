@@ -5,6 +5,13 @@ divisor and watches the scaled section residual
 ``|f(z(t))| / (1 + |z(t)|^deg f)``; fields whose flows preserve the divisor
 keep it at rounding level, fields that push off the divisor drive it up to
 order one.
+
+Every float evaluation of a polynomial in the numeric probes goes through
+:func:`compile_poly`.  The Runge-Kutta loop runs on lists of Python
+``complex`` values, not numpy arrays: the state is two or three numbers, so
+per-step array overhead would dominate.  Its operations and their order are
+those of the textbook vector form, so a trajectory is bit-for-bit the one
+the same formulas give over numpy complex arrays.
 """
 
 from __future__ import annotations
@@ -27,18 +34,23 @@ SAMPLE_RADIUS = 6.0
 ROOT_TOL = 1e-12
 
 
-def compile_poly(p: Poly, variables: Sequence[str]) -> Callable[[np.ndarray], complex]:
-    """Fast complex evaluator for ``p`` against a fixed variable order."""
-    index = [variables.index(v) for v in p.vars]
-    terms = [(c.to_complex(), exp) for exp, c in p.terms.items()]
+def compile_poly(p: Poly, variables: Sequence[str]) -> Callable[[Sequence[complex]], complex]:
+    """Complex evaluator for ``p`` at points given in the order ``variables``.
 
-    def evaluate(z: np.ndarray) -> complex:
+    The returned function takes a sequence of Python ``complex`` values and
+    gives exactly ``p.eval_complex(dict(zip(variables, z)))``: the terms and
+    their factors are multiplied and summed in the same order, only the
+    exponent tuples and coefficient conversions are done once, here.
+    """
+    index = [variables.index(v) for v in p.vars]
+    terms = [(c.to_complex(), tuple((j, e) for j, e in zip(index, exp) if e))
+             for exp, c in p.terms.items()]
+
+    def evaluate(z: Sequence[complex]) -> complex:
         total = 0j
-        for c, exp in terms:
-            t = c
-            for j, e in zip(index, exp):
-                if e:
-                    t *= z[j] ** e
+        for t, factors in terms:
+            for j, e in factors:
+                t *= z[j] ** e
             total += t
         return total
 
@@ -130,6 +142,7 @@ def sample_divisor_points(section: Poly, variables: Sequence[str], rng: Random,
         return []
     points: list[np.ndarray] = []
     deg = section.total_degree()
+    f_eval = compile_poly(section, variables)
     for _line in range(max_lines):
         if len(points) >= count:
             break
@@ -145,16 +158,12 @@ def sample_divisor_points(section: Poly, variables: Sequence[str], rng: Random,
             norm = float(np.linalg.norm(z))
             if norm > radius:
                 continue
-            value = abs(_eval_on(section, variables, z))
+            value = abs(f_eval([complex(c) for c in z]))
             if value < ROOT_TOL * (1.0 + norm ** max(deg, 1)):
                 points.append(z)
                 if len(points) >= count:
                     break
     return points
-
-
-def _eval_on(p: Poly, variables: Sequence[str], z: np.ndarray) -> complex:
-    return p.eval_complex(dict(zip(variables, (complex(c) for c in z))))
 
 
 # ---------------------------------------------------------------------------
@@ -165,37 +174,59 @@ def _eval_on(p: Poly, variables: Sequence[str], z: np.ndarray) -> complex:
 def integrate_flow(field: VectorField, start: Sequence[complex],
                    t_max: float = DEFAULT_TMAX, steps: int = DEFAULT_STEPS,
                    bound: float = DEFAULT_BOUND,
-                   observer: "Callable[[float, np.ndarray], None] | None" = None
+                   observer: "Callable[[float, list[complex]], None] | None" = None
                    ) -> np.ndarray:
     """Classical fixed-step fourth-order Runge-Kutta flow of a field.
 
     Returns the trajectory array of shape ``(steps + 1, n)``; raises
-    :class:`BlowupDetected` as soon as the state norm exceeds ``bound``.
+    :class:`BlowupDetected` as soon as the state leaves the finite
+    ``|z| <= bound`` ball.  ``observer(t, z)`` sees the start and every
+    accepted step, with the state as a list of complex numbers.
+
+    The step is ``z + (h/6) * (((k1 + 2 k2) + 2 k3) + k4)`` with stages at
+    ``z + (h/2) k``, evaluated componentwise in Python complex arithmetic.
     """
     comps = [compile_poly(c, field.chart.variables) for c in field.components]
-
-    def rhs(z: np.ndarray) -> np.ndarray:
-        return np.array([f(z) for f in comps], dtype=complex)
-
-    z = np.array([complex(c) for c in start], dtype=complex)
+    z = [complex(c) for c in start]
     if observer:
         observer(0.0, z)
     h = t_max / steps
-    out = np.empty((steps + 1, len(z)), dtype=complex)
-    out[0] = z
+    half, sixth = 0.5 * h, h / 6.0
+    out = [z]
     for k in range(steps):
-        k1 = rhs(z)
-        k2 = rhs(z + 0.5 * h * k1)
-        k3 = rhs(z + 0.5 * h * k2)
-        k4 = rhs(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(z)) or np.linalg.norm(z) > bound:
+        try:
+            k1 = [f(z) for f in comps]
+            y = [a + half * b for a, b in zip(z, k1)]
+            k2 = [f(y) for f in comps]
+            y = [a + half * b for a, b in zip(z, k2)]
+            k3 = [f(y) for f in comps]
+            y = [a + h * b for a, b in zip(z, k3)]
+            k4 = [f(y) for f in comps]
+            z = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
+            # NaN fails the comparison and an infinite part makes the norm
+            # infinite, so non-finite states count as leaving the ball.
+            left = not _norm(z) <= bound
+        except OverflowError:
+            # Python raises where a complex power overflows; the state
+            # would not have been finite at this step.
+            left = True
+        if left:
             raise BlowupDetected(f"trajectory left the |z| <= {bound:.1e} ball "
                                  f"at step {k + 1}")
-        out[k + 1] = z
+        out.append(z)
         if observer:
             observer((k + 1) * h, z)
-    return out
+    return np.array(out, dtype=complex)
+
+
+def _norm(z: Sequence[complex]) -> float:
+    """Euclidean norm, summing the squared real parts, then the imaginary."""
+    re = im = 0.0
+    for c in z:
+        re += c.real * c.real
+        im += c.imag * c.imag
+    return math.sqrt(re + im)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +289,9 @@ def flow_invariance_probe(basis: FieldBasis, section: Poly, rng: Random,
         for z0 in points:
             worst = 0.0
 
-            def watch(_t: float, z: np.ndarray):
+            def watch(_t: float, z: list[complex]):
                 nonlocal worst
-                r = abs(f_eval(z)) / (1.0 + float(np.linalg.norm(z)) ** deg)
+                r = abs(f_eval(z)) / (1.0 + _norm(z) ** deg)
                 worst = max(worst, r)
 
             blew = False

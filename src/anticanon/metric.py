@@ -33,10 +33,17 @@ from ._numpy import np
 from .errors import BadDirection, NotHermitian, OnDivisor
 from .exact import ExactScalar, Poly, RatFunc, as_scalar
 from .fields import FieldBasis
+from .flows import compile_poly
 from .linsolve import matrix_det
 from .sampling import rational_point
 
 PointLike = Sequence["complex | float | int | Fraction | ExactScalar"]
+
+
+def _compile_ratfunc(r: RatFunc, variables: Sequence[str]):
+    """Numerator and denominator evaluators; ``num(z) / den(z)`` equals
+    ``r.eval_complex`` at the same point."""
+    return compile_poly(r.num, variables), compile_poly(r.den, variables)
 
 
 def _to_exact_point(point: PointLike) -> "list[ExactScalar] | None":
@@ -140,25 +147,37 @@ class MetricModel:
         return self.basis.chart.dim
 
     # -- evaluation helpers -------------------------------------------------
-    def _point_map_complex(self, point: PointLike) -> dict[str, complex]:
+    @functools.cached_property
+    def _det_eval(self):
+        return compile_poly(self.det_section, self.chart.variables)
+
+    @functools.cached_property
+    def _sigma_eval(self):
+        return [[_compile_ratfunc(e, self.chart.variables) for e in row]
+                for row in self.sigma]
+
+    def _complex_point(self, point: PointLike) -> list[complex]:
         values = _to_complex_point(point)
         if len(values) != self.n:
             raise ValueError("point dimension mismatch")
-        return dict(zip(self.chart.variables, values))
+        return values
 
     def det_value(self, point: PointLike) -> complex:
-        return self.det_section.eval_complex(self._point_map_complex(point))
+        return self._det_eval(self._complex_point(point))
 
     def divisor_clearance(self, point: PointLike) -> float:
         """|det S(p)| relative to the floor scale ``(1 + |p|)^deg``."""
-        values = _to_complex_point(point)
+        values = self._complex_point(point)
         norm = math.sqrt(sum(abs(v) ** 2 for v in values))
         deg = max(self.det_section.total_degree(), 0)
-        return abs(self.det_value(point)) / (1.0 + norm) ** deg
+        return abs(self._det_eval(values)) / (1.0 + norm) ** deg
+
+    def sigma_values(self, z: Sequence[complex]) -> list[list[complex]]:
+        """Entries of sigma at a point given as chart-ordered complex values."""
+        return [[num(z) / den(z) for num, den in row] for row in self._sigma_eval]
 
     def sigma_value(self, point: PointLike) -> np.ndarray:
-        pm = self._point_map_complex(point)
-        return np.array([[e.eval_complex(pm) for e in row] for row in self.sigma],
+        return np.array(self.sigma_values(self._complex_point(point)),
                         dtype=complex)
 
     def sigma_exact(self, point: Sequence[ExactScalar]) -> list[list[ExactScalar]]:
@@ -224,12 +243,14 @@ class KahlerDefect:
 
     def sample_max(self, model: MetricModel, points: Sequence[PointLike]) -> float:
         """Largest residual magnitude over sample points (skipping poles)."""
+        variables = model.chart.variables
+        compiled = [_compile_ratfunc(r, variables) for r in self.residuals.values()]
         worst = 0.0
         for p in points:
-            pm = model._point_map_complex(p)
-            for r in self.residuals.values():
+            z = model._complex_point(p)
+            for num, den in compiled:
                 try:
-                    worst = max(worst, abs(r.eval_complex(pm)))
+                    worst = max(worst, abs(num(z) / den(z)))
                 except ZeroDivisionError:
                     continue
         return worst
@@ -314,12 +335,11 @@ def ricci_probe(model: MetricModel, point: PointLike, h: float = 1e-4) -> float:
     """
     base = _to_complex_point(point)
     n = model.n
-    variables = model.chart.variables
+    det_eval = model._det_eval
 
     def F(re_im: np.ndarray) -> float:
-        pm = {v: complex(re_im[2 * k], re_im[2 * k + 1])
-              for k, v in enumerate(variables)}
-        val = model.det_section.eval_complex(pm)
+        val = det_eval([complex(re_im[2 * k], re_im[2 * k + 1])
+                        for k in range(n)])
         mag = abs(val)
         if mag == 0.0:
             raise OnDivisor("stencil touched the divisor")
@@ -428,13 +448,10 @@ def completeness_probe(model: MetricModel, point: PointLike,
 
     p = np.array(_to_complex_point(point))
     v = np.array(_to_complex_point(direction))
-    variables = model.chart.variables
 
     def speed(t: float) -> float:
         z = p + t * v
-        pm = dict(zip(variables, (complex(c) for c in z)))
-        sig = np.array([[e.eval_complex(pm) for e in row] for row in model.sigma],
-                       dtype=complex)
+        sig = np.array(model.sigma_values([complex(c) for c in z]), dtype=complex)
         return float(np.linalg.norm(sig.conj().T @ v))
 
     nodes, weights = _gauss_legendre()

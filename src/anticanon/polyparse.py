@@ -36,6 +36,9 @@ class Token:
 
 
 _OPS = set("+-*/^(),=;")
+# ASCII only: str.isdigit also accepts superscripts such as "²", which int()
+# then rejects.
+_DIGIT_CHARS = frozenset("0123456789")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -47,9 +50,9 @@ def tokenize(text: str) -> list[Token]:
         if ch.isspace():
             k += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGIT_CHARS:
             j = k
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGIT_CHARS:
                 j += 1
             out.append(Token("int", text[k:j], k))
             k = j

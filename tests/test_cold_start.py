@@ -64,12 +64,17 @@ PROGRAM = textwrap.dedent('''
 ''')
 
 
-def test_exact_analyses_do_not_load_numpy():
+def _run_fresh(program: str) -> subprocess.CompletedProcess:
+    """Run ``program`` in a new interpreter that imports anticanon from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", PROGRAM], env=env,
+    return subprocess.run([sys.executable, "-c", program], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_exact_analyses_do_not_load_numpy():
+    done = _run_fresh(PROGRAM)
     assert done.returncode == 0, done.stderr
 
 
@@ -118,9 +123,23 @@ def test_parsing_loads_no_analysis_layer():
         anticanon.run_report(lattice, seed_override=1)
         assert loaded() == list(ANALYSIS), loaded()
     ''')
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", program], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = _run_fresh(program)
     assert done.returncode == 0, done.stderr
+
+
+def test_scenarios_subcommand_loads_no_analysis_layer():
+    # Listing the bundled scenarios needs the scenario reader only.
+    program = textwrap.dedent('''
+        import sys
+
+        from anticanon.cli import main
+
+        assert main(["scenarios"]) == 0
+        ANALYSIS = ("anticanon.fields", "anticanon.divisor", "anticanon.metric",
+                    "anticanon.flows", "anticanon.report")
+        loaded = [m for m in ANALYSIS if m in sys.modules]
+        assert loaded == [], loaded
+    ''')
+    done = _run_fresh(program)
+    assert done.returncode == 0, done.stderr
+    assert "p2_toric" in done.stdout.split()

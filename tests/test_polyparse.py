@@ -105,6 +105,9 @@ def test_edge_texts_match_the_grammar(text):
     ("1.5", "unexpected character '.'"),
     ("x", "unknown variable 'x'"),
     ("()", "unexpected token ')'"),
+    ("\u00b2", "unexpected character '\u00b2'"),        # superscript two
+    ("2\u00b2", "unexpected character '\u00b2'"),
+    ("\u0661", "unexpected character '\u0661'"),        # Arabic-Indic one
 ])
 def test_rejected_texts_raise_the_grammar_error(text, message):
     with pytest.raises(ParseError, match=re.escape(message)):

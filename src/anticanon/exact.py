@@ -2,8 +2,12 @@
 
 Everything in this module is exact.  Scalars are ``a + b*i`` with
 :class:`fractions.Fraction` parts; polynomials are dictionaries mapping
-exponent tuples to scalars; rational functions are reduced
-numerator/denominator pairs with a monic denominator.
+exponent tuples to scalars.  Polynomial matrices go through one
+fraction-free (Bareiss) elimination, ``_echelon``: its forward pass gives
+the determinant and the rank, and with its ``reduce`` flag it also clears
+the rows above each pivot, which gives the adjugate.  Rational functions
+are display-only: a reduced numerator/denominator pair with a monic
+denominator that is printed or evaluated, with no arithmetic of its own.
 
 Canonical form conventions (relied on throughout the package):
 
@@ -863,39 +867,57 @@ def squarefree_decompose(p: Poly) -> tuple[ExactScalar, tuple[tuple[Poly, int], 
 # ---------------------------------------------------------------------------
 
 
-def _echelon(rows: Sequence[Sequence[Poly]]) -> tuple[int, int, Poly]:
-    """Fraction-free (Bareiss) forward elimination of a polynomial matrix.
+def _echelon(rows: Sequence[Sequence[Poly]], reduce: bool = False
+             ) -> tuple[list[list[Poly]], list[int], int, Poly]:
+    """Fraction-free (Bareiss) elimination of a polynomial matrix.
 
-    Returns the rank, the sign of the row permutation and the last pivot.
-    Columns without a pivot are skipped.  Every entry stays a minor of the
-    input, so each division by the previous pivot is exact and the work
-    stays in the polynomial ring.
+    After the step that takes the pivot ``p`` at ``(r, c)``, every other row
+    ``k`` it touches becomes ``(p*row_k - row_k[c]*row_r) / q`` right of
+    column ``c``, with ``q`` the previous pivot, and zero in column ``c``.
+    Its entries are then minors of the input (Sylvester's identity), so each
+    division is exact and the work stays in the polynomial ring.  A row
+    whose entry in column ``c`` is zero while ``p == q`` is skipped, since
+    the update would leave it unchanged.  Columns without a pivot are
+    skipped too.
+
+    Without ``reduce`` only the rows below each pivot are eliminated, which
+    is enough for the rank and the determinant.  With ``reduce`` the rows
+    above are cleared too (fraction-free Gauss-Jordan).  Only the columns
+    right of each pivot are updated, so the entries left of the last pivot
+    are stale, and the columns after it hold ``last`` times the reduced
+    row-echelon form.
+
+    Returns the matrix, the pivot columns, the sign of the row permutation
+    and the last pivot ``last``.
     """
     m = [[as_poly(e) for e in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    sign, rank, prev = 1, 0, _P_ONE
+    pivots: list[int] = []
+    sign, prev = 1, _P_ONE
     for col in range(ncols):
-        if rank == nrows:
+        r = len(pivots)
+        if r == nrows:
             break
-        pivot = next((r for r in range(rank, nrows) if not m[r][col].is_zero()), None)
+        pivot = next((k for k in range(r, nrows) if not m[k][col].is_zero()), None)
         if pivot is None:
             continue
-        if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
             sign = -sign
-        top = m[rank]
-        for row in m[rank + 1:]:
-            if row[col].is_zero() and top[col] == prev:
-                continue   # the update would leave this row unchanged
+        top = m[r]
+        for k in range(0 if reduce else r + 1, nrows):
+            row = m[k]
+            if k == r or (row[col].is_zero() and top[col] == prev):
+                continue   # the pivot row, or a row the update leaves unchanged
             for j in range(col + 1, ncols):
                 q = exact_divide(top[col] * row[j] - row[col] * top[j], prev)
                 assert q is not None, "Bareiss division must be exact"
                 row[j] = q
             row[col] = _P_ZERO
+        pivots.append(col)
         prev = top[col]
-        rank += 1
-    return rank, sign, prev
+    return m, pivots, sign, prev
 
 
 def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
@@ -903,51 +925,33 @@ def poly_det(rows: Sequence[Sequence[Poly]]) -> Poly:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    rank, sign, pivot = _echelon(rows)
-    if rank < n:
+    _m, pivots, sign, pivot = _echelon(rows)
+    if len(pivots) < n:
         return _P_ZERO
     return -pivot if sign < 0 else pivot
 
 
 def poly_rank(rows: Sequence[Sequence[Poly]]) -> int:
     """Rank of a polynomial matrix over the rational-function field."""
-    return _echelon(rows)[0]
+    return len(_echelon(rows)[1])
 
 
 def poly_adjugate(rows: Sequence[Sequence[Poly]]) -> tuple[list[list[Poly]], Poly]:
     """``(adj S, det S)`` of a nonsingular square polynomial matrix ``S``.
 
-    Fraction-free Gauss-Jordan on ``[S | I]``: after the last step the left
-    block is ``d * I`` and the right block ``d * S^-1``, where ``d`` is the
-    determinant of the row-permuted matrix.  Each division by the previous
-    pivot is exact, so no rational function is ever formed.  Raises
-    :class:`SingularMatrix` when ``det S`` vanishes.
+    :func:`_echelon` with ``reduce`` on ``[S | I]``: when the pivots are the
+    columns of ``S``, the right block ends as ``d * S^-1``, where ``d`` is
+    the determinant of the row-permuted matrix.  No rational function is
+    ever formed.  Raises :class:`SingularMatrix` when ``det S`` vanishes.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    m = [[as_poly(e) for e in row] + [_P_ONE if j == i else _P_ZERO for j in range(n)]
-         for i, row in enumerate(rows)]
-    sign, prev = 1, _P_ONE
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if not m[r][k].is_zero()), None)
-        if pivot is None:
-            raise SingularMatrix("matrix has no inverse over the function field")
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        top = m[k]
-        for i, row in enumerate(m):
-            if i == k or (row[k].is_zero() and top[k] == prev):
-                continue   # the pivot row, or a row the update leaves unchanged
-            # Left-block columns before k are diagonal by now and end up as
-            # d * I, so only the columns after k need updating.
-            for j in range(k + 1, 2 * n):
-                q = exact_divide(top[k] * row[j] - row[k] * top[j], prev)
-                assert q is not None, "Bareiss division must be exact"
-                row[j] = q
-            row[k] = _P_ZERO
-        prev = top[k]
+    m, pivots, sign, prev = _echelon(
+        [list(row) + [_P_ONE if j == i else _P_ZERO for j in range(n)]
+         for i, row in enumerate(rows)], reduce=True)
+    if pivots != list(range(n)):
+        raise SingularMatrix("matrix has no inverse over the function field")
     adj = [row[n:] for row in m]
     if sign < 0:
         return [[-e for e in row] for row in adj], -prev
@@ -960,7 +964,11 @@ def poly_adjugate(rows: Sequence[Sequence[Poly]]) -> tuple[list[list[Poly]], Pol
 
 
 class RatFunc:
-    """Quotient of polynomials, stored reduced with a monic denominator."""
+    """A reduced fraction of polynomials with a monic denominator, for display.
+
+    The constructor divides out the gcd; the fraction is then printed or
+    evaluated, never computed with.
+    """
 
     __slots__ = ("num", "den")
 
@@ -987,81 +995,6 @@ class RatFunc:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("RatFunc is immutable")
 
-    # -- constructors -------------------------------------------------------
-    @staticmethod
-    def zero() -> "RatFunc":
-        return RatFunc(_P_ZERO)
-
-    @staticmethod
-    def one() -> "RatFunc":
-        return RatFunc(_P_ONE)
-
-    # -- predicates ---------------------------------------------------------
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_poly(self) -> bool:
-        return self.den == _P_ONE
-
-    # -- arithmetic ---------------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (Poly, int, Fraction, ExactScalar)):
-            return RatFunc(as_poly(other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    # -- calculus -----------------------------------------------------------
-    def derivative(self, name: str) -> "RatFunc":
-        n, d = self.num, self.den
-        return RatFunc(n.derivative(name) * d - n * d.derivative(name), d * d)
-
-    # -- evaluation ---------------------------------------------------------
     def eval_exact(self, point: Mapping[str, ExactScalar]) -> ExactScalar:
         dv = self.den.eval_exact(point)
         if dv.is_zero():
@@ -1071,18 +1004,8 @@ class RatFunc:
     def eval_complex(self, point: Mapping[str, complex]) -> complex:
         return self.num.eval_complex(point) / self.den.eval_complex(point)
 
-    # -- comparison / printing ----------------------------------------------
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def __str__(self):
-        if self.is_poly():
+        if self.den == _P_ONE:
             return str(self.num)
         return f"({self.num})/({self.den})"
 

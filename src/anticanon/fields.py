@@ -11,6 +11,11 @@ A global holomorphic field on P^n is stored as ``n+1`` linear forms
 brackets therefore happen after localizing to a chart, which kills that
 ambiguity.
 
+Chart data on P^n comes from the homogeneous section (``divisor.py``): the
+determinant of the basis localized to ``U_k`` is that section with
+``z_k = 1``, up to a constant factor.  It is therefore nonzero on every
+chart, and a chart's divisor is read off the section, not decomposed again.
+
 The inverse ``sigma`` of a basis's component matrix ``S`` is kept as the
 polynomial pair ``(adj S, det S)`` from fraction-free elimination; the
 reduced entries ``adj S / det S`` are formed once, for output.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -135,8 +135,14 @@ class MetricModel:
     """Symbolic metric data attached to a nondegenerate affine basis."""
 
     basis: FieldBasis
-    sigma: list[list[RatFunc]] = field(repr=False)
-    det_section: Poly = field(repr=False)
+
+    @property
+    def sigma(self) -> list[list[RatFunc]]:
+        return self.basis.sigma
+
+    @property
+    def det_section(self) -> Poly:
+        return self.basis.det_section
 
     @property
     def chart(self):
@@ -187,8 +193,8 @@ class MetricModel:
 
 def build_metric(basis: FieldBasis) -> MetricModel:
     """Invert the component matrix; raises DegenerateBasis when singular."""
-    sigma = basis.sigma  # triggers the nondegeneracy check
-    return MetricModel(basis, sigma, basis.det_section)
+    basis.sigma  # triggers the nondegeneracy check
+    return MetricModel(basis)
 
 
 def metric_at(model: MetricModel, point: PointLike,

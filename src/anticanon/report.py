@@ -27,7 +27,7 @@ from .divisor import (
     tangency_affine,
     tangency_projective,
 )
-from .errors import BadDirection, DegenerateBasis, OnDivisor, ParseError
+from .errors import BadDirection, OnDivisor, ParseError
 from .exact import ExactScalar
 from .fields import FieldBasis, ProjectiveBasis
 from .flows import flow_invariance_probe, sample_divisor_points
@@ -79,29 +79,24 @@ class PreparedModel:
             self.section = divisor_projective(self.projective)
             self.chart_index = self._pick_chart(self.section)
             self.basis = self.projective.localize(self.chart_index)
-            self.chart_section = divisor_affine(self.basis)
+            # The chart determinant is the dehomogenized section, up to a
+            # constant factor.
+            self.chart_section = dehomogenize(
+                self.section.section, self.chart_index).monic()
             self.tangency = tangency_projective(self.projective, self.section)
         else:
             self.basis = scenario.affine_basis()
             self.section = divisor_affine(self.basis)
-            self.chart_section = self.section
+            self.chart_section = self.section.section
             self.tangency = tangency_affine(self.basis, self.section)
         self.metric: MetricModel = build_metric(self.basis)
 
     def _pick_chart(self, section: DivisorSection) -> int:
-        n = self.projective.n
-        fallback = None
-        for i in range(n + 1):
-            local = self.projective.localize(i)
-            if local.det_section.is_zero():
-                continue
-            if fallback is None:
-                fallback = i
+        """The first chart on which the divisor is visible, else ``U0``."""
+        for i in range(self.projective.n + 1):
             if not dehomogenize(section.section, i).is_constant():
                 return i
-        if fallback is None:
-            raise DegenerateBasis("no chart carries a nondegenerate localization")
-        return fallback
+        return 0
 
     @property
     def chart_label(self) -> str:
@@ -143,7 +138,7 @@ def _divisor_block(model: PreparedModel) -> dict:
         block["tangency_witness"] = None
     if model.chart_index is not None:
         block["chart"] = model.chart_label
-        block["chart_section"] = str(model.chart_section.section)
+        block["chart_section"] = str(model.chart_section)
     return block
 
 
@@ -193,11 +188,11 @@ def _completeness_block(model: PreparedModel, seed: int, config: ProbeConfig) ->
     else:
         block["witness"] = None
 
-    probe: dict = {"applicable": not model.chart_section.is_empty()}
+    probe: dict = {"applicable": not model.chart_section.is_constant()}
     if probe["applicable"]:
         rng = rng_for(seed, "completeness")
         chart = model.basis.chart
-        points = sample_divisor_points(model.chart_section.section,
+        points = sample_divisor_points(model.chart_section,
                                        chart.variables, rng, count=2)
         directions: list[list[ExactScalar]] = []
         for k in range(chart.dim):
@@ -277,7 +272,7 @@ def _ricci_block(model: PreparedModel, seed: int, config: ProbeConfig) -> dict:
 
 
 def _flow_block(model: PreparedModel, seed: int, config: ProbeConfig) -> dict:
-    report = flow_invariance_probe(model.basis, model.chart_section.section,
+    report = flow_invariance_probe(model.basis, model.chart_section,
                                    rng_for(seed, "flow"),
                                    n_points=config.n_points,
                                    t_max=config.t_max, steps=config.steps)

@@ -141,7 +141,10 @@ def _parse_field_expr(expr: str, ambient: str, n: int, line: int
     else:
         allowed = {f"z{j}" for j in range(1, n + 1)}
         valid_k = range(1, n + 1)
-    tokens = tokenize(expr)
+    try:
+        tokens = tokenize(expr)
+    except ParseError as err:
+        raise ParseError(str(err), line=line) from None
     out: list[tuple[int, Poly]] = []
     for sign, chunk in _split_terms(tokens):
         if not chunk:
@@ -158,7 +161,10 @@ def _parse_field_expr(expr: str, ambient: str, n: int, line: int
         coeff_tokens = chunk[:-1]
         if coeff_tokens:
             parser = _Parser(coeff_tokens + [Token("end", "", last.pos)], allowed)
-            coeff = parser.expr()
+            try:
+                coeff = parser.expr()
+            except ParseError as err:
+                raise ParseError(str(err), line=line) from None
             if parser.peek().kind != "end":
                 raise ParseError("trailing input in field coefficient", line=line)
         else:

@@ -136,7 +136,7 @@ def test_main_non_ascii_digit_exit(tmp_path, capsys):
     bad.write_text("ambient C2\nfield s1 = 2\u00b2 d1\nfield s2 = d2\n",
                    encoding="utf-8")
     assert main(["divisor", str(bad)]) == EXIT_PARSE
-    assert "unexpected character '\u00b2'" in capsys.readouterr().err
+    assert "unexpected character '\u00b2' (line 2)" in capsys.readouterr().err
 
 
 def test_main_impossible_probe_setting_exit(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Determinant divisor sections: factorization, tangency, chart consistency."""
 
+import random
+
 import pytest
 
 from anticanon.divisor import (
@@ -72,19 +74,33 @@ def test_projective_section_is_homogeneous_of_right_degree():
     assert sec.degree == 3          # always n + 1 on P^n
 
 
+def _random_linear_projective(rng: random.Random, n: int) -> ProjectiveBasis:
+    """n global fields on P^n whose forms have Gaussian-integer coefficients."""
+    def form():
+        return sum((Poly.var(f"z{j}").scale(ExactScalar(rng.randint(-3, 3),
+                                                        rng.randint(-3, 3)))
+                    for j in range(n + 1)), Poly.zero())
+    return ProjectiveBasis([projective_field(n, [form() for _ in range(n + 1)])
+                            for _ in range(n)])
+
+
 def test_dehomogenization_matches_chart_determinant():
-    """Setting z_i = 1 in the P^n section recovers the chart determinant."""
-    basis = _nilpotent_p2()
-    sec = divisor_projective(basis)
-    for i in range(3):
-        local = basis.localize(i)
-        chart_det = divisor_affine(local).section if not \
-            local.det_section.is_zero() else Poly.zero()
-        dehom = dehomogenize(sec.section, i)
-        if chart_det.is_zero():
-            continue
-        # both are monic up to normalization; compare monic forms
-        assert dehom.monic() == chart_det.monic()
+    """Setting z_i = 1 in the P^n section recovers the chart determinant.
+
+    The chart determinant is nonzero on every chart, so any chart carries a
+    nondegenerate localization.
+    """
+    rng = random.Random("dehomogenize")
+    bases = [_nilpotent_p2()] + [_random_linear_projective(rng, n)
+                                 for n in (1, 2, 3) for _ in range(4)]
+    for basis in bases:
+        sec = divisor_projective(basis)
+        for i in range(basis.n + 1):
+            local = basis.localize(i)
+            assert not local.det_section.is_zero()
+            # both are monic up to normalization; compare monic forms
+            assert dehomogenize(sec.section, i).monic() == \
+                divisor_affine(local).section
 
 
 def test_euler_applied_scales_by_degree():

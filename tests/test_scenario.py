@@ -126,11 +126,14 @@ def test_analyses_tuple_is_subset_of_known():
     ("h 0", "h must be finite and positive"),
     ("tmax inf", "tmax must be finite and positive"),
     ("tmax -1", "tmax must be finite and positive"),
+    ("field s2 = (x+1) d2", "unknown variable 'x'"),
+    ("field s1 = 2\u00b2 d1", "unexpected character '\u00b2'"),
 ])
 def test_impossible_probe_settings_are_parse_errors(line, message):
     with pytest.raises(ParseError, match=message) as err:
         parse_scenario(f"ambient C2\nfield v = z1 d1\n{line}\n", name="t")
     assert err.value.line == 3
+    assert str(err.value).endswith("(line 3)")
 
 
 def test_smallest_probe_settings_are_accepted():

@@ -7,11 +7,14 @@ keep it at rounding level, fields that push off the divisor drive it up to
 order one.
 
 Every float evaluation of a polynomial in the numeric probes goes through
-:func:`compile_poly`.  The Runge-Kutta loop runs on lists of Python
-``complex`` values, not numpy arrays: the state is two or three numbers, so
-per-step array overhead would dominate.  Its operations and their order are
-those of the textbook vector form, so a trajectory is bit-for-bit the one
-the same formulas give over numpy complex arrays.
+:func:`compile_poly`.  The one Runge-Kutta loop is the generator
+:func:`rk4_states`, which yields each state with its norm; the probe reads
+that stream directly, and :func:`integrate_flow` packs it into an array.
+The loop runs on lists of Python ``complex`` values, not numpy arrays: the
+state is two or three numbers, so per-step array overhead would dominate.
+Its operations and their order are those of the textbook vector form, so a
+trajectory is bit-for-bit the one the same formulas give over numpy complex
+arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ._numpy import np
 from .errors import BlowupDetected
@@ -62,24 +65,13 @@ def compile_poly(p: Poly, variables: Sequence[str]) -> Callable[[Sequence[comple
 # ---------------------------------------------------------------------------
 
 
-def _restrict_to_line(section: Poly, variables: Sequence[str],
-                      base: Sequence[ExactScalar],
-                      direction: Sequence[ExactScalar]) -> list[complex]:
-    """Exact coefficients of ``t -> f(base + t*direction)`` as complex numbers."""
+def restrict_to_line(section: Poly, variables: Sequence[str],
+                     base: Sequence[ExactScalar],
+                     direction: Sequence[ExactScalar]) -> Poly:
+    """Exact restriction ``t -> f(base + t*direction)``, a polynomial in ``t``."""
     t = Poly.var("t")
-    sub = {v: Poly.const(p0) + t * Poly.const(d)
-           for v, p0, d in zip(variables, base, direction)}
-    restricted = section.substitute(sub)
-    if restricted.is_zero():
-        return []
-    deg = restricted.degree_in("t")
-    coeffs = [0j] * (deg + 1)
-    if restricted.vars == ():
-        coeffs[0] = restricted.constant_value().to_complex()
-    else:
-        for exp, c in restricted.terms.items():
-            coeffs[exp[0]] = c.to_complex()
-    return coeffs
+    return section.substitute({v: Poly.const(p0) + t * Poly.const(d)
+                               for v, p0, d in zip(variables, base, direction)})
 
 
 def _newton_roots(coeffs: list[complex], rng: Random,
@@ -148,9 +140,12 @@ def sample_divisor_points(section: Poly, variables: Sequence[str], rng: Random,
             break
         base = generic_point(rng, len(variables), span=2, den=4)
         direction = generic_point(rng, len(variables), span=2, den=4)
-        coeffs = _restrict_to_line(section, variables, base, direction)
-        if len(coeffs) < 2:
+        line = restrict_to_line(section, variables, base, direction)
+        if line.is_constant():
             continue  # line misses the divisor or lies inside it
+        coeffs = [0j] * (line.degree_in("t") + 1)
+        for (e,), c in line.terms.items():
+            coeffs[e] = c.to_complex()
         b = np.array([e.to_complex() for e in base])
         d = np.array([e.to_complex() for e in direction])
         for t in _newton_roots(coeffs, rng):
@@ -171,28 +166,24 @@ def sample_divisor_points(section: Poly, variables: Sequence[str], rng: Random,
 # ---------------------------------------------------------------------------
 
 
-def integrate_flow(field: VectorField, start: Sequence[complex],
-                   t_max: float = DEFAULT_TMAX, steps: int = DEFAULT_STEPS,
-                   bound: float = DEFAULT_BOUND,
-                   observer: "Callable[[float, list[complex]], None] | None" = None
-                   ) -> np.ndarray:
+def rk4_states(field: VectorField, start: Sequence[complex],
+               t_max: float = DEFAULT_TMAX, steps: int = DEFAULT_STEPS,
+               bound: float = DEFAULT_BOUND) -> Iterator[tuple[list[complex], float]]:
     """Classical fixed-step fourth-order Runge-Kutta flow of a field.
 
-    Returns the trajectory array of shape ``(steps + 1, n)``; raises
+    Yields ``(z, |z|)`` for the start state and for each of the ``steps``
+    accepted steps, with ``z`` a list of complex numbers; raises
     :class:`BlowupDetected` as soon as the state leaves the finite
-    ``|z| <= bound`` ball.  ``observer(t, z)`` sees the start and every
-    accepted step, with the state as a list of complex numbers.
+    ``|z| <= bound`` ball.
 
     The step is ``z + (h/6) * (((k1 + 2 k2) + 2 k3) + k4)`` with stages at
     ``z + (h/2) k``, evaluated componentwise in Python complex arithmetic.
     """
     comps = [compile_poly(c, field.chart.variables) for c in field.components]
     z = [complex(c) for c in start]
-    if observer:
-        observer(0.0, z)
+    yield z, _norm(z)
     h = t_max / steps
     half, sixth = 0.5 * h, h / 6.0
-    out = [z]
     for k in range(steps):
         try:
             k1 = [f(z) for f in comps]
@@ -204,9 +195,10 @@ def integrate_flow(field: VectorField, start: Sequence[complex],
             k4 = [f(y) for f in comps]
             z = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                  for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
+            r = _norm(z)
             # NaN fails the comparison and an infinite part makes the norm
             # infinite, so non-finite states count as leaving the ball.
-            left = not _norm(z) <= bound
+            left = not r <= bound
         except OverflowError:
             # Python raises where a complex power overflows; the state
             # would not have been finite at this step.
@@ -214,10 +206,18 @@ def integrate_flow(field: VectorField, start: Sequence[complex],
         if left:
             raise BlowupDetected(f"trajectory left the |z| <= {bound:.1e} ball "
                                  f"at step {k + 1}")
-        out.append(z)
-        if observer:
-            observer((k + 1) * h, z)
-    return np.array(out, dtype=complex)
+        yield z, r
+
+
+def integrate_flow(field: VectorField, start: Sequence[complex],
+                   t_max: float = DEFAULT_TMAX, steps: int = DEFAULT_STEPS,
+                   bound: float = DEFAULT_BOUND) -> np.ndarray:
+    """The :func:`rk4_states` trajectory as an array of shape ``(steps + 1, n)``.
+
+    Raises :class:`BlowupDetected` as :func:`rk4_states` does.
+    """
+    return np.array([z for z, _r in rk4_states(field, start, t_max, steps, bound)],
+                    dtype=complex)
 
 
 def _norm(z: Sequence[complex]) -> float:
@@ -235,21 +235,10 @@ def _norm(z: Sequence[complex]) -> float:
 
 
 @dataclass
-class PointFlowResult:
-    start: list[complex]
-    max_residual: float
-    blew_up: bool
-
-
-@dataclass
 class FieldFlowResult:
     field_index: int
     max_residual: float       # over points that stayed in the safety ball
-    points: list[PointFlowResult]
-
-    @property
-    def any_blowup(self) -> bool:
-        return any(p.blew_up for p in self.points)
+    blowups: int              # trajectories that left the safety ball
 
 
 @dataclass
@@ -261,10 +250,6 @@ class FlowProbeReport:
     def max_residual(self) -> float:
         return max((f.max_residual for f in self.per_field), default=0.0)
 
-    @property
-    def any_blowup(self) -> bool:
-        return any(f.any_blowup for f in self.per_field)
-
 
 def flow_invariance_probe(basis: FieldBasis, section: Poly, rng: Random,
                           n_points: int = 5, t_max: float = DEFAULT_TMAX,
@@ -273,9 +258,8 @@ def flow_invariance_probe(basis: FieldBasis, section: Poly, rng: Random,
     """Integrate each basis field from divisor points and watch the residual.
 
     The per-step residual is ``|f(z)| / (1 + |z|^deg f)``.  A trajectory that
-    leaves the safety ball is recorded as a blowup; its residual up to that
-    time still contributes to the per-point record but not to the per-field
-    maximum.
+    leaves the safety ball counts as a blowup and does not contribute to the
+    per-field maximum.
     """
     variables = basis.chart.variables
     points = sample_divisor_points(section, variables, rng, count=n_points)
@@ -284,25 +268,16 @@ def flow_invariance_probe(basis: FieldBasis, section: Poly, rng: Random,
 
     per_field: list[FieldFlowResult] = []
     for idx, field in enumerate(basis.fields):
-        field_points: list[PointFlowResult] = []
         clean_max = 0.0
+        blowups = 0
         for z0 in points:
             worst = 0.0
-
-            def watch(_t: float, z: list[complex]):
-                nonlocal worst
-                r = abs(f_eval(z)) / (1.0 + _norm(z) ** deg)
-                worst = max(worst, r)
-
-            blew = False
             try:
-                integrate_flow(field, z0, t_max=t_max, steps=steps,
-                               bound=bound, observer=watch)
+                for z, r in rk4_states(field, z0, t_max, steps, bound):
+                    worst = max(worst, abs(f_eval(z)) / (1.0 + r ** deg))
             except BlowupDetected:
-                blew = True
-            field_points.append(PointFlowResult([complex(c) for c in z0],
-                                                worst, blew))
-            if not blew:
+                blowups += 1
+            else:
                 clean_max = max(clean_max, worst)
-        per_field.append(FieldFlowResult(idx, clean_max, field_points))
+        per_field.append(FieldFlowResult(idx, clean_max, blowups))
     return FlowProbeReport(per_field, [[complex(c) for c in p] for p in points])

@@ -33,7 +33,7 @@ from ._numpy import np
 from .errors import BadDirection, NotHermitian, OnDivisor
 from .exact import ExactScalar, Poly, RatFunc, as_scalar
 from .fields import FieldBasis
-from .flows import compile_poly
+from .flows import compile_poly, restrict_to_line
 from .linsolve import matrix_det
 from .sampling import rational_point
 
@@ -408,16 +408,6 @@ class CompletenessResult:
                 for j in range(len(self.lengths) - 1)]
 
 
-def _line_section(model: MetricModel, point: Sequence[ExactScalar],
-                  direction: Sequence[ExactScalar]) -> Poly:
-    """Exact restriction of det S to the line ``p + t v`` (variable ``t``)."""
-    t = Poly.var("t")
-    sub = {}
-    for var, p0, d in zip(model.chart.variables, point, direction):
-        sub[var] = Poly.const(p0) + t * Poly.const(d)
-    return model.det_section.substitute(sub)
-
-
 def completeness_probe(model: MetricModel, point: PointLike,
                        direction: PointLike, depth: int = 14) -> CompletenessResult:
     """Arc length of ``t -> p + t v`` toward ``t = 0`` in dyadic blocks.
@@ -436,7 +426,8 @@ def completeness_probe(model: MetricModel, point: PointLike,
         if not model.det_section.eval_exact(pm).is_zero():
             raise OnDivisor("completeness probe needs a start point on the "
                             "divisor; the determinant section is nonzero there")
-        line = _line_section(model, exact_p, exact_v)
+        line = restrict_to_line(model.det_section, model.chart.variables,
+                                exact_p, exact_v)
         if line.is_zero():
             raise BadDirection("determinant vanishes identically along the ray")
     else:

@@ -29,7 +29,7 @@ from .divisor import (
 )
 from .errors import BadDirection, OnDivisor, ParseError
 from .exact import ExactScalar
-from .fields import FieldBasis, ProjectiveBasis
+from .fields import ProjectiveBasis
 from .flows import flow_invariance_probe, sample_divisor_points
 from .metric import (
     MetricModel,
@@ -281,7 +281,7 @@ def _flow_block(model: PreparedModel, seed: int, config: ProbeConfig) -> dict:
         per_field.append({
             "field": model.scenario.field_names[fr.field_index],
             "max_residual": float(fr.max_residual),
-            "blowups": sum(1 for p in fr.points if p.blew_up),
+            "blowups": fr.blowups,
         })
     return {
         "points_sampled": len(report.sample_points),

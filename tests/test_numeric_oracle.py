@@ -1,9 +1,10 @@
 """The Python-complex RK4 and the compiled evaluator against exact oracles.
 
-``integrate_flow`` steps lists of Python ``complex`` values.  The oracle here
-is the numpy-array RK4 it replaced, kept as it was: both apply the same IEEE
-operations in the same order, so trajectories, the states the observer sees
-and the step at which a blowup is raised agree bit for bit (``tobytes``).
+``rk4_states`` steps lists of Python ``complex`` values.  The oracle here is
+the numpy-array RK4 it replaced, kept as it was but for the step time its
+observer no longer receives: both apply the same IEEE operations in the same
+order, so trajectories, every state along them and the step at which a
+blowup is raised agree bit for bit (``tobytes``).
 ``compile_poly`` must give exactly what ``Poly.eval_complex`` and
 ``RatFunc.eval_complex`` give.
 """
@@ -16,12 +17,12 @@ from hypothesis import assume, given, settings, strategies as st
 from anticanon.errors import BlowupDetected, DegenerateBasis
 from anticanon.exact import ExactScalar, Poly
 from anticanon.fields import Chart, FieldBasis, VectorField, affine_field
-from anticanon.flows import compile_poly, integrate_flow
+from anticanon.flows import compile_poly, integrate_flow, rk4_states
 from anticanon.metric import build_metric, kahler_defect
 
 
 # ---------------------------------------------------------------------------
-# the numpy RK4 that integrate_flow replaced
+# the numpy RK4 that rk4_states replaced
 # ---------------------------------------------------------------------------
 
 
@@ -50,7 +51,7 @@ def numpy_integrate_flow(field, start, t_max, steps, bound, observer=None):
 
     z = np.array([complex(c) for c in start], dtype=complex)
     if observer:
-        observer(0.0, z)
+        observer(z)
     h = t_max / steps
     out = np.empty((steps + 1, len(z)), dtype=complex)
     out[0] = z
@@ -65,7 +66,7 @@ def numpy_integrate_flow(field, start, t_max, steps, bound, observer=None):
                                  f"at step {k + 1}")
         out[k + 1] = z
         if observer:
-            observer((k + 1) * h, z)
+            observer(z)
     return out
 
 
@@ -73,12 +74,21 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=complex).tobytes()
 
 
+def _python_integrate_flow(field, start, t_max, steps, bound, observer):
+    """The rk4_states trajectory, each state passed to ``observer``."""
+    out = []
+    for z, _r in rk4_states(field, start, t_max, steps, bound):
+        observer(z)
+        out.append(z)
+    return out
+
+
 def _run(integrate, field, start, t_max, steps, bound):
     """Trajectory bytes (or the blowup message) and every observed state."""
     seen = []
 
-    def observe(t, z):
-        seen.append((t, _bits(z)))
+    def observe(z):
+        seen.append(_bits(z))
 
     with np.errstate(all="ignore"):
         try:
@@ -136,9 +146,11 @@ complexes = st.builds(complex, coords, coords)
 def test_rk4_is_bit_identical_to_the_numpy_form(field, data, t_max, steps, bound):
     start = data.draw(st.lists(complexes, min_size=field.chart.dim,
                                max_size=field.chart.dim))
-    ours = _run(integrate_flow, field, start, t_max, steps, bound)
+    ours = _run(_python_integrate_flow, field, start, t_max, steps, bound)
     oracle = _run(numpy_integrate_flow, field, start, t_max, steps, bound)
     assert ours == oracle
+    if not isinstance(ours[0], str):
+        assert _bits(integrate_flow(field, start, t_max, steps, bound)) == ours[0]
 
 
 def test_blowups_are_raised_at_the_numpy_step():
@@ -152,7 +164,7 @@ def test_blowups_are_raised_at_the_numpy_step():
          [0.5, 2.0, 1.0], 1.0, 200, 1e6),
     ]
     for field, start, t_max, steps, bound in cases:
-        ours = _run(integrate_flow, field, start, t_max, steps, bound)
+        ours = _run(_python_integrate_flow, field, start, t_max, steps, bound)
         oracle = _run(numpy_integrate_flow, field, start, t_max, steps, bound)
         assert isinstance(ours[0], str) and "at step" in ours[0]
         assert ours == oracle

@@ -27,13 +27,16 @@ a diagnostic but does not assert a cone dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from ._numpy import np
 from .errors import NotSemiTorus, PatternViolation
 from .exact import ExactScalar, as_scalar
 from .linsolve import (
+    clear_row,
     in_row_space,
+    integer_rank,
     intersect_row_spaces,
     matrix_inverse,
     matrix_rank,
@@ -129,9 +132,20 @@ class NormalForm:
         return np.array([[e.to_complex() for e in row] for row in self.P])
 
 
-def _apply(matrix: ExactMatrix, vec: Sequence[ExactScalar]) -> ExactVector:
-    return [sum((row[j] * vec[j] for j in range(len(vec))), ExactScalar.zero())
-            for row in matrix]
+def _apply(cleared: list[tuple[list[int], list[int], int]],
+           vec: Sequence[ExactScalar]) -> ExactVector:
+    """``matrix . vec`` from the rows of ``matrix`` cleared by ``clear_row``.
+
+    Each entry is one Gaussian-integer dot product over the two scales.
+    """
+    vr, vi, vs = clear_row(vec)
+    out = []
+    for rr, ri, rs in cleared:
+        terms = list(zip(rr, ri, vr, vi))
+        out.append(ExactScalar(
+            Fraction(sum(a * c - b * d for a, b, c, d in terms), rs * vs),
+            Fraction(sum(a * d + b * c for a, b, c, d in terms), rs * vs)))
+    return out
 
 
 def normal_form(lattice: LatticeData) -> NormalForm:
@@ -191,7 +205,8 @@ def normal_form(lattice: LatticeData) -> NormalForm:
 
     P = [[cols[c][r] for c in range(n)] for r in range(n)]  # columns -> matrix
     T = matrix_inverse(P)
-    adapted = tuple(tuple(_apply(T, g)) for g in lattice.generators)
+    cleared = [clear_row(row) for row in T]
+    adapted = tuple(tuple(_apply(cleared, g)) for g in lattice.generators)
     nf = NormalForm(n, k, l, m, T, P, lattice, adapted)
     _check_normal_form(nf)
     return nf
@@ -248,10 +263,15 @@ def hermitian_from_params(params: Sequence, n: int) -> np.ndarray:
 
 @dataclass
 class StokesSystem:
-    """Exact linear constraints ``Im(lambda^T omega conj(mu)) = 0``."""
+    """Exact linear constraints ``Im(lambda^T omega conj(mu)) = 0``.
+
+    Each row is the period row of one generator pair times the positive
+    integer ``L_a * L_b`` that clears both generators, so it has integer
+    entries and the same rank and nullspace as the period rows.
+    """
 
     n: int
-    rows: ExactMatrix               # real rational rows over the n^2 parameters
+    rows: list[list[int]]           # integer rows over the n^2 parameters
     labels: list[str]
     rank: int
 
@@ -261,7 +281,7 @@ class StokesSystem:
 
 
 def stokes_constraints(lattice: LatticeData) -> StokesSystem:
-    """One exact constraint row per unordered generator pair.
+    """One integer constraint row per unordered generator pair.
 
     With ``omega_pq = x_pq + i y_pq`` (p < q) and real diagonal ``a_p``, the
     period of the pair ``(lam, mu)`` expands to rational coefficients:
@@ -270,31 +290,30 @@ def stokes_constraints(lattice: LatticeData) -> StokesSystem:
     * ``x_pq``: ``Im(lam_p conj(mu_q)) + Im(lam_q conj(mu_p))``
     * ``y_pq``: ``Re(lam_p conj(mu_q)) - Re(lam_q conj(mu_p))``
 
+    Each generator is cleared once to Gaussian integers, ``lam = (lr + i li)
+    / L_a`` and ``mu = (mr + i mi) / L_b``, so that ``L_a L_b lam_p
+    conj(mu_q) = (lr_p mr_q + li_p mi_q) + i (li_p mr_q - lr_p mi_q)`` and
+    every coefficient times ``L_a L_b`` is an int.
+
     Diagonal pairs are identically zero for hermitian ``omega`` and are
     omitted.
     """
     n = lattice.n
     labels = hermitian_param_labels(n)
     pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    rows: ExactMatrix = []
-    gens = lattice.generators
+    rows: list[list[int]] = []
+    gens = [clear_row(g) for g in lattice.generators]
     for a in range(len(gens)):
+        lr, li, _ = gens[a]
         for b in range(a + 1, len(gens)):
-            lam, mu = gens[a], gens[b]
-            row: list[ExactScalar] = []
-            for p in range(n):
-                prod = lam[p] * mu[p].conjugate()
-                row.append(ExactScalar(prod.im))
-            xs, ys = [], []
-            for p, q in pairs:
-                fwd = lam[p] * mu[q].conjugate()
-                rev = lam[q] * mu[p].conjugate()
-                xs.append(ExactScalar(fwd.im + rev.im))
-                ys.append(ExactScalar(fwd.re - rev.re))
-            row += xs + ys
+            mr, mi, _ = gens[b]
+            row = [li[p] * mr[p] - lr[p] * mi[p] for p in range(n)]
+            row += [li[p] * mr[q] - lr[p] * mi[q] + li[q] * mr[p] - lr[q] * mi[p]
+                    for p, q in pairs]
+            row += [lr[p] * mr[q] + li[p] * mi[q] - lr[q] * mr[p] - li[q] * mi[p]
+                    for p, q in pairs]
             rows.append(row)
-    rank = matrix_rank(rows) if rows else 0
-    return StokesSystem(n, rows, labels, rank)
+    return StokesSystem(n, rows, labels, integer_rank(rows))
 
 
 def pattern_dimension(nf: NormalForm) -> int:

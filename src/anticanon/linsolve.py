@@ -1,11 +1,14 @@
 """Exact linear algebra over Gaussian-rational scalars.
 
 Matrices are plain lists of rows of :class:`~anticanon.exact.ExactScalar`.
-Every routine here reads one fraction-free elimination (Bareiss): each row
-is multiplied once by the least common multiple of its denominators, the
-elimination runs on Gaussian integers kept as pairs of Python ints and
-divides exactly by the previous pivot at each step, and rationals come back
-only when the pivot rows are normalised at the end.
+Every routine here reads one fraction-free elimination (Bareiss).
+:func:`clear_row` multiplies a row once by the least common multiple of its
+denominators and returns it as Gaussian integers kept as pairs of Python
+ints; the one Bareiss loop runs on those pairs and divides exactly by the
+previous pivot at each step, and rationals come back only when the pivot
+rows are normalised at the end.  Callers that already hold integer rows
+(the period constraints of :mod:`anticanon.cone`) rank them through
+:func:`integer_rank`, which enters the same loop without clearing.
 
 Pivots are chosen by position, never by magnitude, so results are
 reproducible.  The reduced row-echelon form of a matrix is unique, so the
@@ -44,27 +47,45 @@ class _Echelon:
     last: tuple[int, int]
 
 
-def _eliminate(rows: Sequence[Sequence[ExactScalar]], reduce: bool) -> _Echelon:
-    """Bareiss elimination over the Gaussian integers.
+def clear_row(row: Sequence[ExactScalar]) -> tuple[list[int], list[int], int]:
+    """A row cleared over the positive lcm ``scale`` of its denominators.
 
-    After the step that takes the pivot ``p`` at ``(r, c)``, every other row
-    ``k`` it touches becomes ``(p*row_k - row_k[c]*row_r) / q``, with ``q``
-    the previous pivot.  Its entries are then minors of the scaled matrix
-    (Sylvester's identity), so the division by ``q`` is exact.  Without
-    ``reduce`` only the rows below ``r`` are eliminated, which is enough for
-    the rank and the determinant.  With ``reduce`` the rows above are too
-    (fraction-free Gauss-Jordan), and every pivot entry ends equal to
-    ``last``.
+    Returns the real and imaginary parts of ``scale * row`` as ints, and
+    ``scale``.
     """
+    entries = [as_scalar(e) for e in row]
+    scale = math.lcm(*(x.denominator for e in entries for x in (e.re, e.im)))
+    return ([e.re.numerator * (scale // e.re.denominator) for e in entries],
+            [e.im.numerator * (scale // e.im.denominator) for e in entries],
+            scale)
+
+
+def _eliminate(rows: Sequence[Sequence[ExactScalar]], reduce: bool) -> _Echelon:
+    """:func:`_bareiss` on the rows cleared by :func:`clear_row`."""
     re: list[list[int]] = []
     im: list[list[int]] = []
-    scales: list[int] = []
+    scale = 1
     for row in rows:
-        entries = [as_scalar(e) for e in row]
-        scale = math.lcm(*(x.denominator for e in entries for x in (e.re, e.im)))
-        re.append([e.re.numerator * (scale // e.re.denominator) for e in entries])
-        im.append([e.im.numerator * (scale // e.im.denominator) for e in entries])
-        scales.append(scale)
+        r, i, s = clear_row(row)
+        re.append(r)
+        im.append(i)
+        scale *= s
+    return _bareiss(re, im, scale, reduce)
+
+
+def _bareiss(re: list[list[int]], im: list[list[int]], scale: int,
+             reduce: bool) -> _Echelon:
+    """Bareiss elimination over the Gaussian integers, in place.
+
+    Entry ``(r, j)`` of the input is ``re[r][j] + i*im[r][j]``.  After the
+    step that takes the pivot ``p`` at ``(r, c)``, every other row ``k`` it
+    touches becomes ``(p*row_k - row_k[c]*row_r) / q``, with ``q`` the
+    previous pivot.  Its entries are then minors of the input (Sylvester's
+    identity), so the division by ``q`` is exact.  Without ``reduce`` only
+    the rows below ``r`` are eliminated, which is enough for the rank and
+    the determinant.  With ``reduce`` the rows above are too (fraction-free
+    Gauss-Jordan), and every pivot entry ends equal to ``last``.
+    """
     nrows = len(re)
     ncols = len(re[0]) if re else 0
     real = not any(any(row) for row in im)
@@ -105,7 +126,7 @@ def _eliminate(rows: Sequence[Sequence[ExactScalar]], reduce: bool) -> _Echelon:
                 ai[:] = [(u * qr - t * qi) // norm for t, u in zip(tr, ti)]
         pivots.append(c)
         qr, qi = pr, pi
-    return _Echelon(re, im, math.prod(scales), pivots, sign, (qr, qi))
+    return _Echelon(re, im, scale, pivots, sign, (qr, qi))
 
 
 def _quotient(ar: int, ai: int, dr: int, di: int) -> ExactScalar:
@@ -115,23 +136,39 @@ def _quotient(ar: int, ai: int, dr: int, di: int) -> ExactScalar:
                        Fraction(ai * dr - ar * di, norm))
 
 
-def rref(rows: Sequence[Sequence[ExactScalar]]) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form and pivot columns.
+def _pivot_rows(ech: _Echelon) -> Matrix:
+    """The nonzero rows of the RREF.
 
-    The fraction-free pivot rows all end with the same pivot entry, so one
-    division normalises them.
+    The fraction-free pivot rows of a reduced elimination all end with the
+    same pivot entry, so one division normalises them.
     """
-    ech = _eliminate(rows, reduce=True)
     dr, di = ech.last
+    return [[_quotient(a, x, dr, di) for a, x in zip(ech.re[r], ech.im[r])]
+            for r in range(len(ech.pivots))]
+
+
+def rref(rows: Sequence[Sequence[ExactScalar]]) -> tuple[Matrix, list[int]]:
+    """Reduced row-echelon form and pivot columns."""
+    ech = _eliminate(rows, reduce=True)
     zero = ExactScalar.zero()
-    out = [[_quotient(a, x, dr, di) for a, x in zip(ech.re[r], ech.im[r])]
-           for r in range(len(ech.pivots))]
+    out = _pivot_rows(ech)
     out += [[zero] * len(row) for row in ech.re[len(ech.pivots):]]
     return out, ech.pivots
 
 
 def matrix_rank(rows: Sequence[Sequence[ExactScalar]]) -> int:
     return len(_eliminate(rows, reduce=False).pivots)
+
+
+def integer_rank(re: Sequence[Sequence[int]],
+                 im: "Sequence[Sequence[int]] | None" = None) -> int:
+    """Rank of the Gaussian-integer matrix ``re + i*im`` (real without ``im``).
+
+    The rows are copied, not cleared: they must already be integers.
+    """
+    re = [list(row) for row in re]
+    im = [list(row) for row in im] if im is not None else [[0] * len(row) for row in re]
+    return len(_bareiss(re, im, 1, reduce=False).pivots)
 
 
 def matrix_det(rows: Sequence[Sequence[ExactScalar]]) -> ExactScalar:
@@ -210,8 +247,7 @@ def solve_linear(rows: Sequence[Sequence[ExactScalar]],
 
 def row_space_basis(rows: Sequence[Sequence[ExactScalar]]) -> Matrix:
     """Canonical basis (nonzero RREF rows) of the span of the given rows."""
-    red, pivots = rref(rows)
-    return [red[r] for r in range(len(pivots))]
+    return _pivot_rows(_eliminate(rows, reduce=True))
 
 
 def in_row_space(rows: Sequence[Sequence[ExactScalar]],
@@ -234,15 +270,23 @@ def intersect_row_spaces(a: Sequence[Sequence[ExactScalar]],
     for c in range(acols):
         stacked.append([row[c] for row in a] + [-as_scalar(row[c]) for row in b])
     combos = nullspace_basis(stacked)
-    vecs = []
+    # Each combination is recombined on Gaussian integers, times the
+    # positive integer that clears its coefficients and the rows of ``a``.
+    # That spans the same line, so the canonical basis is unchanged.
+    cleared = [clear_row(row) for row in a]
+    common = math.lcm(*(s for _, _, s in cleared))
+    re: list[list[int]] = []
+    im: list[list[int]] = []
     for combo in combos:
-        coeffs = combo[:len(a)]
-        vec = [ExactScalar(0)] * acols
-        for w, row in zip(coeffs, a):
-            if w.is_zero():
+        wr, wi, _ = clear_row(combo[:len(a)])
+        vr, vi = [0] * acols, [0] * acols
+        for x, y, (ar, ai, s) in zip(wr, wi, cleared):
+            if not (x or y):
                 continue
-            for c in range(acols):
-                vec[c] = vec[c] + w * row[c]
-        if any(not e.is_zero() for e in vec):
-            vecs.append(vec)
-    return row_space_basis(vecs)
+            x, y = x * (common // s), y * (common // s)
+            vr = [v + x * p - y * q for v, p, q in zip(vr, ar, ai)]
+            vi = [v + x * q + y * p for v, p, q in zip(vi, ar, ai)]
+        if any(vr) or any(vi):
+            re.append(vr)
+            im.append(vi)
+    return _pivot_rows(_bareiss(re, im, 1, reduce=True))

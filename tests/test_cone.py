@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anticanon.errors import NotSemiTorus, PatternViolation
 from anticanon.exact import ExactScalar
@@ -176,6 +177,82 @@ def test_stokes_solutions_are_exact_forms():
         adapted = to_adapted(sol, nf)
         assert exactness_defect(adapted, nf) < 1e-9
         assert is_exact_form(adapted, nf)
+
+
+# ---------------------------------------------------------------------------
+# the integer Stokes rows and T.g against the ExactScalar forms they replace
+# ---------------------------------------------------------------------------
+
+
+def _oracle_stokes_rows(lattice):
+    """The period rows built with ``ExactScalar`` products, as the library
+    built them before it cleared the generators to Gaussian integers."""
+    n = lattice.n
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    rows = []
+    gens = lattice.generators
+    for a in range(len(gens)):
+        for b in range(a + 1, len(gens)):
+            lam, mu = gens[a], gens[b]
+            row = []
+            for p in range(n):
+                prod = lam[p] * mu[p].conjugate()
+                row.append(E(prod.im))
+            xs, ys = [], []
+            for p, q in pairs:
+                fwd = lam[p] * mu[q].conjugate()
+                rev = lam[q] * mu[p].conjugate()
+                xs.append(E(fwd.im + rev.im))
+                ys.append(E(fwd.re - rev.re))
+            rows.append(row + xs + ys)
+    return rows
+
+
+def _oracle_apply(matrix, vec):
+    """``matrix . vec`` with ``ExactScalar`` products."""
+    return [sum((row[j] * vec[j] for j in range(len(vec))), E(0))
+            for row in matrix]
+
+
+def _clearing_factor(g):
+    return math.lcm(*(x.denominator for e in g for x in (e.re, e.im)))
+
+
+_lattice_parts = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+_lattice_entries = st.one_of(st.just(E(0)),
+                             st.builds(E, _lattice_parts, _lattice_parts))
+
+
+@st.composite
+def lattices(draw):
+    """Gaussian-rational lattices on C2-C6, with denominators up to 4 and
+    zero and repeated generators mixed in."""
+    n = draw(st.integers(2, 6))
+    gens = draw(st.lists(st.lists(_lattice_entries, min_size=n, max_size=n),
+                         max_size=2 * n))
+    if gens and draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))),
+                    list(draw(st.sampled_from(gens))))
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), [E(0)] * n)
+    return _lat(n, gens)
+
+
+@given(lattices())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_integer_stokes_rows_and_adapted_generators_match_exact_oracle(lat):
+    oracle = _oracle_stokes_rows(lat)
+    factors = [_clearing_factor(lat.generators[a]) * _clearing_factor(lat.generators[b])
+               for a in range(len(lat.generators))
+               for b in range(a + 1, len(lat.generators))]
+    stokes = stokes_constraints(lat)
+    assert all(type(x) is int for row in stokes.rows for x in row)
+    assert [[E(x) for x in row] for row in stokes.rows] == \
+        [[e * f for e in row] for row, f in zip(oracle, factors)]
+    assert stokes.rank == (matrix_rank(oracle) if oracle else 0)
+    nf = normal_form(lat)
+    assert nf.adapted_generators == tuple(tuple(_oracle_apply(nf.T, g))
+                                          for g in lat.generators)
 
 
 def test_cone_dimension_frozen_values():

@@ -17,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 from anticanon.errors import SingularMatrix
 from anticanon.exact import ExactScalar
 from anticanon.linsolve import (
+    clear_row,
     in_row_space,
+    integer_rank,
     intersect_row_spaces,
     matrix_det,
     matrix_inverse,
@@ -208,11 +210,12 @@ _parts = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 @st.composite
-def matrices(draw, max_rows=6, max_cols=10):
+def matrices(draw, max_rows=6, max_cols=10, ncols=None):
     """Gaussian-rational matrices, often real, with zero rows and columns
     and rows that are combinations of others."""
     nrows = draw(st.integers(1, max_rows))
-    ncols = draw(st.integers(1, max_cols))
+    if ncols is None:
+        ncols = draw(st.integers(1, max_cols))
     real = draw(st.booleans())
     entry = st.one_of(st.just(E(0)),
                       st.builds(E, _parts, st.just(0) if real else _parts))
@@ -238,6 +241,53 @@ def test_rref_rank_and_nullspace_match_fraction_oracle(a):
     assert rref(a) == (red, pivots)
     assert matrix_rank(a) == len(pivots)
     assert nullspace_basis(a) == _oracle_nullspace(a)
+
+
+@given(matrices())
+@settings(max_examples=40, deadline=None)
+def test_integer_rank_matches_matrix_rank_after_clearing(a):
+    cleared = [clear_row(row) for row in a]
+    re = [r for r, _, _ in cleared]
+    im = [i for _, i, _ in cleared]
+    copies = ([list(r) for r in re], [list(i) for i in im])
+    assert integer_rank(re, im) == matrix_rank(a)
+    assert (re, im) == copies
+    if not any(any(row) for row in im):
+        assert integer_rank(re) == matrix_rank(a)
+
+
+def _oracle_intersect(a, b):
+    """``intersect_row_spaces`` recombining with ``ExactScalar`` products,
+    as the library did before it recombined on Gaussian integers."""
+    acols = len(a[0])
+    stacked = [[row[c] for row in a] + [-row[c] for row in b]
+               for c in range(acols)]
+    vecs = []
+    for combo in nullspace_basis(stacked):
+        vec = [E(0)] * acols
+        for w, row in zip(combo[:len(a)], a):
+            vec = [v + w * x for v, x in zip(vec, row)]
+        if any(not e.is_zero() for e in vec):
+            vecs.append(vec)
+    return row_space_basis(vecs)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_intersection_matches_fraction_oracle(data):
+    a = data.draw(matrices())
+    b = data.draw(matrices(ncols=len(a[0])))
+    assert intersect_row_spaces(a, b) == _oracle_intersect(a, b)
+
+
+def test_integer_rank_of_empty_and_zero_rows():
+    assert integer_rank([]) == 0
+    assert integer_rank([[]]) == 0
+    assert integer_rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert integer_rank([[0, 0], [0, 0]], [[0, 0], [0, 0]]) == 0
+    assert integer_rank([[0, 0], [2, 4], [0, 0], [1, 2]]) == 1
+    assert integer_rank([[0, 0], [1, 0]], [[0, 0], [0, 1]]) == 1
+    assert integer_rank([[1, 0], [0, 0]], [[0, 0], [0, 1]]) == 2
 
 
 @given(matrices(max_cols=6))
